@@ -8,7 +8,9 @@ negated subformula instead of spending a definition.
 
 Structurally equal subformulas share their defining atom within one builder,
 which is what makes incremental use cheap: a domain of rules adds every rule
-once and then asserts different subsets of their top literals per query.
+once and then asserts different subsets of their top literals per query.  A
+clause set carries only the definitions its asserted literals reach, so
+formulas added for one query never weigh on the next.
 
 Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
 identifier character in the formula grammar, so no parsed input can collide
@@ -47,12 +49,6 @@ class ClauseSet:
     aux: frozenset[int] = field(compare=False)
     signature: Signature = field(compare=False, repr=False)
 
-    def source_atoms(self) -> tuple[Atom, ...]:
-        """Non-auxiliary atoms, in registry (first-seen) order."""
-        return tuple(
-            self.atoms[var] for var in sorted(self.atoms) if var not in self.aux
-        )
-
 
 class CnfBuilder:
     """Incremental clausifier over one signature.
@@ -60,12 +56,15 @@ class CnfBuilder:
     `add` translates a formula and returns its top literal without asserting
     it; callers choose which top literals to turn into unit clauses when
     assembling a ClauseSet.  Definitions accumulate across calls and are
-    shared between formulas with common subtrees.
+    shared between formulas with common subtrees; each is kept under the
+    defining variable it introduces, with the variables of its operands, so
+    a clause set can take just the ones its assertions depend on.
     """
 
     def __init__(self, signature: Signature) -> None:
         self._sig = signature
-        self._defs: list[Clause] = []
+        self._defs: dict[int, tuple[Clause, ...]] = {}
+        self._operands: dict[int, tuple[int, int]] = {}
         self._literal: dict[Formula, int] = {}
         self._aux_vars: set[int] = set()
         self._atoms: dict[int, Atom] = {}
@@ -118,25 +117,41 @@ class CnfBuilder:
                 ]
             else:
                 raise TypeError(f"not a formula: {formula!r}")
-            self._defs.extend(frozenset(c) for c in defs)
+            self._defs[out] = tuple(
+                clause
+                for clause in map(frozenset, defs)
+                if not _tautologous(clause)
+            )
+            self._operands[out] = (abs(left), abs(right))
             lit = out
         self._literal[formula] = lit
         return lit
 
     def clause_set(self, asserted: Iterable[int] = ()) -> ClauseSet:
-        """Assemble the accumulated definitions plus unit assertions.
+        """Unit assertions plus the definitions their literals reach.
 
-        Tautologous clauses are dropped, duplicates collapse, and the rest is
-        sorted (by size, then literal tuple) so equal inputs give identical
-        clause sets.
+        A definition is reached when its defining variable occurs in an
+        assertion or as an operand of another reached definition; the rest
+        are left out, which keeps satisfiability since a definition
+        constrains only its own fresh variable.  Tautologous clauses are
+        dropped, duplicates collapse, and the rest is sorted (by size, then
+        literal tuple) so equal inputs give identical clause sets.
         """
-        clauses = {c for c in self._defs if not _tautologous(c)}
-        clauses.update(frozenset((lit,)) for lit in asserted)
+        clauses = {frozenset((lit,)) for lit in asserted}
+        reached: set[int] = set()
+        pending = [abs(lit) for unit in clauses for lit in unit]
+        while pending:
+            var = pending.pop()
+            if var in reached:
+                continue
+            reached.add(var)
+            clauses.update(self._defs.get(var, ()))
+            pending.extend(self._operands.get(var, ()))
         ordered = sorted(clauses, key=lambda c: (len(c), sorted(c)))
         return ClauseSet(
             clauses=tuple(ordered),
-            atoms=dict(self._atoms),
-            aux=frozenset(self._aux_vars),
+            atoms={var: self._atoms[var] for var in reached},
+            aux=frozenset(reached & self._aux_vars),
             signature=self._sig,
         )
 

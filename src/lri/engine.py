@@ -20,6 +20,12 @@ Hypothesis selections are represented throughout as frozen sets of indices
 into the domain's hypothesis list, so equality of positions is equality of
 selections, and minimality is measured over selections, never over the
 shared axioms.
+
+Every question is answered per island: a group of axioms and hypotheses
+that shares no atom with the rest of the domain.  A selection is consistent
+exactly when its part in each island is, so maximal positions are products
+of per-island maximal selections, and a conclusion depends only on the
+islands whose atoms it mentions.
 """
 
 from __future__ import annotations
@@ -29,18 +35,68 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import sat
-from .cnf import CnfBuilder
+from .cnf import ClauseSet, CnfBuilder
 from .errors import (
     AxiomHypothesisOverlap,
     DuplicateHypothesis,
     InconsistentAxioms,
     MixedDomains,
+    ResourceLimit,
 )
-from .formula import Formula, Signature, is_ground, print_formula
+from .formula import (
+    Atom,
+    Formula,
+    Signature,
+    atom_groups,
+    atoms_of,
+    is_ground,
+    print_formula,
+)
 
 # Context extraction enumerates justification choices per query formula, which
 # grows exponentially with the query count; refuse silly sizes outright.
 MAX_CONTEXT_QUERIES = 12
+
+
+class _Budget:
+    """The decisions one question may spend, summed over its searches.
+
+    A question (is this selection consistent, does it entail that formula)
+    may need one search per island it touches; together they get the budget
+    a single search over the whole domain would have had.
+    """
+
+    def __init__(self, max_decisions: Optional[int]) -> None:
+        self.cap = (
+            sat.DEFAULT_MAX_DECISIONS
+            if max_decisions is None
+            else int(max_decisions)
+        )
+        self.spent = 0
+
+    def satisfiable(self, clause_set: ClauseSet) -> bool:
+        try:
+            result = sat.solve(clause_set, self.cap - self.spent)
+        except ResourceLimit:
+            raise ResourceLimit(
+                f"satisfiability search exceeded {self.cap} decisions"
+            ) from None
+        self.spent += result.decisions
+        return result.satisfiable
+
+
+@dataclass
+class _Island:
+    """Axioms and hypotheses sharing atoms only among themselves.
+
+    `axiom_tops` are the axioms' top literals; `hypotheses` holds
+    domain-wide hypothesis indices, ascending; `maximal` caches the island's
+    maximal consistent selections once swept.
+    """
+
+    axiom_tops: tuple[int, ...]
+    hypotheses: tuple[int, ...]
+    maximal: Optional[tuple[frozenset[int], ...]] = None
 
 
 class DomainOfRules:
@@ -52,9 +108,11 @@ class DomainOfRules:
     Construction verifies axiom consistency and fails with
     InconsistentAxioms otherwise.
 
-    The domain owns one incremental clausifier holding every rule, so
-    consistency checks for different selections share all clause structure,
-    and it memoizes selection consistency because the position and context
+    Construction also splits the rules into islands, groups connected
+    through shared atoms.  Every search covers only the islands its question
+    touches, assembled from one clausifier whose clause sets carry just the
+    definitions of the rules asserted.  Consistency is memoized per island
+    and selection within the island, because the position and context
     machinery revisits the same selections many times.
     """
 
@@ -91,17 +149,38 @@ class DomainOfRules:
 
         self.signature = signature
         self.max_decisions = max_decisions
+        rules = self.axioms + self.hypotheses
         # Register atoms in rule order so registry indices, and with them the
         # solver's branching order, follow the order rules were stated in.
-        for formula in self.axioms + self.hypotheses:
+        for formula in rules:
             signature.register_formula(formula)
         self._builder = CnfBuilder(signature)
-        self._axiom_tops = tuple(self._builder.add(f) for f in self.axioms)
-        self._hyp_tops = tuple(self._builder.add(f) for f in self.hypotheses)
-        self._consistency: dict[frozenset[int], bool] = {}
+        tops = [self._builder.add(f) for f in rules]
+        first_hyp = len(self.axioms)
+        self._hyp_tops = tuple(tops[first_hyp:])
+
+        rule_atoms = [atoms_of(f) for f in rules]
+        self._islands: list[_Island] = []
+        self._island_of_hyp = [0] * len(self.hypotheses)
+        self._island_of_atom: dict[Atom, int] = {}
+        for number, group in enumerate(atom_groups(rule_atoms)):
+            members = tuple(i - first_hyp for i in group if i >= first_hyp)
+            self._islands.append(_Island(
+                tuple(tops[i] for i in group if i < first_hyp), members
+            ))
+            for i in members:
+                self._island_of_hyp[i] = number
+            for i in group:
+                self._island_of_atom.update(
+                    dict.fromkeys(rule_atoms[i], number)
+                )
+
+        self._consistency: dict[tuple[int, frozenset[int]], bool] = {}
         self._maximal: Optional[tuple["Position", ...]] = None
-        if not self.consistent(frozenset()):
-            raise InconsistentAxioms("the axioms are jointly unsatisfiable")
+        budget = _Budget(max_decisions)
+        for number in range(len(self._islands)):
+            if not self._island_consistent(number, frozenset(), budget):
+                raise InconsistentAxioms("the axioms are jointly unsatisfiable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DomainOfRules):
@@ -126,29 +205,98 @@ class DomainOfRules:
             self.hypotheses[i] for i in sorted(chosen)
         )
 
-    def _tops(self, chosen: frozenset[int]) -> list[int]:
-        return list(self._axiom_tops) + [
-            self._hyp_tops[i] for i in sorted(chosen)
-        ]
+    def _parts(self, chosen: frozenset[int]) -> dict[int, frozenset[int]]:
+        """The selection split by island, for the islands it touches."""
+        parts: dict[int, set[int]] = {}
+        for i in chosen:
+            parts.setdefault(self._island_of_hyp[i], set()).add(i)
+        return {number: frozenset(parts[number]) for number in sorted(parts)}
+
+    def _islands_of(self, formula: Formula) -> frozenset[int]:
+        """Islands sharing an atom with the formula."""
+        return frozenset(
+            self._island_of_atom[atom]
+            for atom in atoms_of(formula)
+            if atom in self._island_of_atom
+        )
+
+    def _island_consistent(
+        self, number: int, part: frozenset[int], budget: _Budget
+    ) -> bool:
+        """Whether the island's axioms and the hypotheses in part are satisfiable."""
+        key = (number, part)
+        known = self._consistency.get(key)
+        if known is None:
+            island = self._islands[number]
+            if island.maximal is not None:
+                known = any(part <= m for m in island.maximal)
+            else:
+                tops = list(island.axiom_tops)
+                tops += [self._hyp_tops[i] for i in sorted(part)]
+                known = budget.satisfiable(self._builder.clause_set(tops))
+            self._consistency[key] = known
+        return known
+
+    def _island_maximal(self, number: int) -> tuple[frozenset[int], ...]:
+        """The island's maximal consistent selections, swept once.
+
+        Selections are tried largest first so that every accepted one prunes
+        its subsets; each consistency check is its own question.
+        """
+        island = self._islands[number]
+        if island.maximal is None:
+            accepted: list[frozenset[int]] = []
+            for size in range(len(island.hypotheses), -1, -1):
+                for combo in itertools.combinations(island.hypotheses, size):
+                    selection = frozenset(combo)
+                    if any(selection <= bigger for bigger in accepted):
+                        continue
+                    budget = _Budget(self.max_decisions)
+                    if self._island_consistent(number, selection, budget):
+                        accepted.append(selection)
+            island.maximal = tuple(accepted)
+        return island.maximal
 
     def consistent(self, chosen: frozenset[int]) -> bool:
-        """Whether axioms plus this hypothesis selection are satisfiable."""
-        cached = self._consistency.get(chosen)
-        if cached is not None:
-            return cached
-        result = sat.solve(
-            self._builder.clause_set(self._tops(chosen)), self.max_decisions
-        ).satisfiable
-        self._consistency[chosen] = result
-        return result
+        """Whether axioms plus this hypothesis selection are satisfiable.
+
+        Only the islands the selection touches are asked; the axioms of every
+        island were found consistent at construction.
+        """
+        budget = _Budget(self.max_decisions)
+        return all(
+            self._island_consistent(number, part, budget)
+            for number, part in self._parts(chosen).items()
+        )
 
     def selection_entails(
         self, chosen: frozenset[int], conclusion: Formula
     ) -> bool:
-        """Whether axioms plus the selection classically entail conclusion."""
-        top = self._builder.add(conclusion)
-        clause_set = self._builder.clause_set(self._tops(chosen) + [-top])
-        return not sat.solve(clause_set, self.max_decisions).satisfiable
+        """Whether axioms plus the selection classically entail conclusion.
+
+        One search refutes the negated conclusion over the islands sharing
+        its atoms.  When that search finds a counter-model, the rest of the
+        selection, which shares no atom with it, entails the conclusion only
+        by being inconsistent.
+        """
+        budget = _Budget(self.max_decisions)
+        touched = self._islands_of(conclusion)
+        tops = [
+            top for number in sorted(touched)
+            for top in self._islands[number].axiom_tops
+        ]
+        tops += [
+            self._hyp_tops[i] for i in sorted(chosen)
+            if self._island_of_hyp[i] in touched
+        ]
+        tops.append(-self._builder.add(conclusion))
+        if not budget.satisfiable(self._builder.clause_set(tops)):
+            return True
+        return not all(
+            self._island_consistent(number, part, budget)
+            for number, part in self._parts(chosen).items()
+            if number not in touched
+        )
 
 
 def _require_ground(formula: Formula, role: str) -> None:
@@ -239,26 +387,37 @@ def new_domain(
     return DomainOfRules(axioms, hypotheses, signature, max_decisions)
 
 
+def _index_tuple(selection: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(selection))
+
+
+def _joined(
+    domain: DomainOfRules, numbers: Iterable[int]
+) -> list[frozenset[int]]:
+    """Unions of one maximal selection per listed island, by index tuple."""
+    return sorted(
+        (
+            frozenset().union(*parts)
+            for parts in itertools.product(
+                *(domain._island_maximal(number) for number in numbers)
+            )
+        ),
+        key=_index_tuple,
+    )
+
+
 def maximal_positions(domain: DomainOfRules) -> list[Position]:
     """All positions whose selection no consistent selection properly extends.
 
-    Enumerates selections largest first so that every accepted selection can
-    prune its subsets, and returns positions sorted by their index tuples in
-    ascending order.  Results are cached on the domain.
+    A selection is maximal exactly when its part in every island is, so the
+    positions are the products of the islands' maximal selections.  They are
+    returned sorted by their index tuples in ascending order and cached on
+    the domain.
     """
     if domain._maximal is None:
-        n = len(domain.hypotheses)
-        accepted: list[frozenset[int]] = []
-        for size in range(n, -1, -1):
-            for combo in itertools.combinations(range(n), size):
-                selection = frozenset(combo)
-                if any(selection <= bigger for bigger in accepted):
-                    continue
-                if domain.consistent(selection):
-                    accepted.append(selection)
-        accepted.sort(key=lambda s: tuple(sorted(s)))
         domain._maximal = tuple(
-            Position(domain, selection) for selection in accepted
+            Position(domain, selection)
+            for selection in _joined(domain, range(len(domain._islands)))
         )
     return list(domain._maximal)
 
@@ -269,13 +428,32 @@ def reasonably_infers(
     """First maximal position entailing the conclusion, or None.
 
     A conclusion entailed by any consistent selection is also entailed by
-    every maximal extension of it, so checking maximal positions suffices.
+    every maximal extension of it, so checking maximal positions suffices,
+    and whether one entails it depends only on its part in the islands the
+    conclusion touches.  Each island's maximal selections form an antichain,
+    so changing one island's part while the rest stay fixed orders positions
+    as it orders the parts.  The first entailing position therefore joins
+    the first entailing part over the touched islands with the first
+    maximal selection of every other island, and no other position is built.
     """
     _require_ground(conclusion, "conclusion")
-    for position in maximal_positions(domain):
-        if position.entails(conclusion):
-            return position
-    return None
+    touched = domain._islands_of(conclusion)
+    part = next(
+        (
+            candidate
+            for candidate in _joined(domain, sorted(touched))
+            if domain.selection_entails(candidate, conclusion)
+        ),
+        None,
+    )
+    if part is None:
+        return None
+    rest = (
+        min(domain._island_maximal(number), key=_index_tuple)
+        for number in range(len(domain._islands))
+        if number not in touched
+    )
+    return Position(domain, part.union(*rest))
 
 
 def in_reasonable_theory(domain: DomainOfRules, conclusion: Formula) -> bool:
@@ -288,21 +466,27 @@ def justifications(
 ) -> list[Justification]:
     """All minimal positions entailing the conclusion.
 
-    Enumerates selections smallest first.  A selection is skipped when it
-    extends an already-found justification (not minimal) or fits inside no
-    maximal position (inconsistent, since consistency is closed under
-    subsets).  Survivors get one entailment check each.
+    A consistent selection entails the conclusion exactly when its part in
+    the islands sharing the conclusion's atoms does, so only those islands'
+    hypotheses are enumerated, smallest first and by index tuple.  A
+    selection is skipped when it extends an already-found justification
+    (not minimal) or fits inside no maximal selection of its islands
+    (inconsistent).  Survivors get one entailment check each.
     """
     _require_ground(conclusion, "conclusion")
-    maximal = [p.chosen for p in maximal_positions(domain)]
-    n = len(domain.hypotheses)
+    touched = sorted(domain._islands_of(conclusion))
+    for number in touched:
+        domain._island_maximal(number)
+    candidates = sorted(
+        i for number in touched for i in domain._islands[number].hypotheses
+    )
     found: list[frozenset[int]] = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
             selection = frozenset(combo)
             if any(small <= selection for small in found):
                 continue
-            if not any(selection <= m for m in maximal):
+            if not domain.consistent(selection):
                 continue
             if domain.selection_entails(selection, conclusion):
                 found.append(selection)

@@ -116,6 +116,37 @@ def atoms_of(formula: Formula) -> frozenset[Atom]:
     return frozenset(node for node in walk(formula) if isinstance(node, Atom))
 
 
+def atom_groups(atom_sets: Sequence[Iterable[Atom]]) -> list[list[int]]:
+    """Indices of atom sets grouped by atoms shared directly or through others.
+
+    Given the atoms of each formula in a list, the groups are the formulas
+    connected through shared atoms.  Groups list their indices ascending and
+    come ordered by their first index, so the grouping is deterministic.
+    """
+    parent = list(range(len(atom_sets)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first_use: dict[Atom, int] = {}
+    for i, atoms in enumerate(atom_sets):
+        for atom in atoms:
+            if atom in first_use:
+                root, other = find(first_use[atom]), find(i)
+                if root != other:
+                    parent[max(root, other)] = min(root, other)
+            else:
+                first_use[atom] = i
+
+    groups: dict[int, list[int]] = {}
+    for i in range(len(atom_sets)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
 def variables_of(formula: Formula) -> tuple[str, ...]:
     """All variable names in the formula, sorted for reproducible grounding."""
     names = {

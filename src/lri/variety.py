@@ -36,6 +36,7 @@ from .formula import (
     Formula,
     Not,
     Signature,
+    atom_groups,
     atoms_of,
     is_ground,
     print_formula,
@@ -534,33 +535,11 @@ def partition_graph(
         return PartitionGraph(tuple(nodes), tuple(edges))
 
     ordered = _unique(formulas)
-    parent = list(range(len(ordered)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    first_use: dict[Atom, int] = {}
-    for i, f in enumerate(ordered):
-        for atom in atoms_of(f):
-            if atom in first_use:
-                union(first_use[atom], i)
-            else:
-                first_use[atom] = i
-
-    clusters: dict[int, list[Formula]] = {}
-    for i, f in enumerate(ordered):
-        clusters.setdefault(find(i), []).append(f)
     nodes = [
-        _node(index, clusters[root])
-        for index, root in enumerate(sorted(clusters))
+        _node(index, [ordered[i] for i in group])
+        for index, group in enumerate(
+            atom_groups([atoms_of(f) for f in ordered])
+        )
     ]
     return PartitionGraph(tuple(nodes), ())
 

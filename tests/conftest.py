@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from lri import DomainOfRules, Signature, parse_formula
+
+# Tests that start `python -m lri` need the checkout's package in the child
+# too; pytest's `pythonpath` setting reaches only this process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 def build_domain(axiom_texts, hypothesis_texts, max_decisions=None):

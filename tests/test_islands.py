@@ -1,0 +1,197 @@
+"""Domains made of several atom-disjoint islands, checked against the oracle.
+
+Each corpus concatenates a few seeded random domains whose atoms were renamed
+apart, then shuffles the hypotheses so that islands interleave in the index
+order.  The engine answers per island; the oracle sweeps the whole domain.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import lri.engine
+from bruteforce import DomainOracle, random_domain, random_formula
+from lri import (
+    And,
+    Atom,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    ResourceLimit,
+    justifications,
+    maximal_consistent_contexts,
+    maximal_positions,
+    new_domain,
+    print_formula,
+    reasonably_infers,
+)
+
+SEEDS = range(30)
+
+
+def _rename(formula: Formula, tag: int) -> Formula:
+    if isinstance(formula, Atom):
+        return Atom(f"{formula.predicate}{tag}")
+    if isinstance(formula, Not):
+        return Not(_rename(formula.operand, tag))
+    return type(formula)(_rename(formula.left, tag), _rename(formula.right, tag))
+
+
+def _corpus(seed: int):
+    """(axioms, hypotheses, per-island atoms) of a 2-4 island corpus."""
+    rng = random.Random(seed)
+    count = rng.randint(2, 4)
+    axioms, hypotheses, island_atoms = [], [], []
+    for tag in range(count):
+        ax, hyps = random_domain(
+            rng, max_atoms=4, max_hypotheses=3 if count < 4 else 2
+        )
+        axioms += [_rename(f, tag) for f in ax]
+        hypotheses += [_rename(f, tag) for f in hyps]
+        atoms = set()
+        for f in ax + hyps:
+            atoms |= {_rename(a, tag) for a in lri.atoms_of(f)}
+        island_atoms.append(sorted(atoms, key=str))
+    rng.shuffle(hypotheses)
+    return axioms, hypotheses, island_atoms, rng
+
+
+def _queries(rng: random.Random, island_atoms) -> list[Formula]:
+    """Queries inside one island, across two, over fresh atoms, tautologies."""
+    first, second = island_atoms[0], island_atoms[1]
+    fresh = [Atom("fresh0"), Atom("fresh1")]
+    out = [
+        random_formula(rng, first, depth=2),
+        random_formula(rng, second, depth=2),
+        Or(random_formula(rng, first, 1), random_formula(rng, second, 1)),
+        And(random_formula(rng, first, 1), random_formula(rng, second, 1)),
+        Implies(random_formula(rng, second, 1), random_formula(rng, first, 1)),
+        fresh[0],
+        Or(fresh[0], Not(fresh[1])),
+        Or(first[0], Not(first[0])),
+        Implies(fresh[1], fresh[1]),
+        Or(And(first[0], second[0]), Not(And(first[0], second[0]))),
+    ]
+    return list(dict.fromkeys(out))
+
+
+def _entails(oracle: DomainOracle, selection, phi) -> bool:
+    mask = sum(1 << i for i in selection)
+    phi_mask = oracle.table.mask(phi)
+    return oracle.selection_masks[mask] & ~phi_mask & oracle.table.full == 0
+
+
+def _ordered(found) -> list[list[int]]:
+    return sorted((sorted(s) for s in found), key=lambda s: (len(s), s))
+
+
+def _reference_contexts(oracle: DomainOracle, queries) -> list[list]:
+    """Contexts in the documented order, from oracle justifications."""
+    options = [_ordered(oracle.justifications(q)) for q in queries]
+
+    def consistent(parts) -> bool:
+        return oracle.consistent(sum(1 << i for i in set().union(*parts)))
+
+    out = []
+    for choice in itertools.product(*(range(len(o) + 1) for o in options)):
+        covered = [
+            (i, options[i][j]) for i, j in enumerate(choice) if j < len(options[i])
+        ]
+        chosen = [set(s) for _, s in covered]
+        if not consistent(chosen):
+            continue
+        if any(
+            consistent(chosen + [set(alternative)])
+            for i, j in enumerate(choice)
+            if j == len(options[i])
+            for alternative in options[i]
+        ):
+            continue
+        out.append(sorted((print_formula(queries[i]), s) for i, s in covered))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_multi_island_answers_match_oracle(seed):
+    axioms, hypotheses, island_atoms, rng = _corpus(seed)
+    queries = _queries(rng, island_atoms)
+    domain = new_domain(axioms, hypotheses)
+    oracle = DomainOracle(axioms, hypotheses, extra=queries)
+
+    positions = [sorted(p.chosen) for p in maximal_positions(domain)]
+    expected_positions = [sorted(s) for s in oracle.maximal_positions()]
+    assert positions == expected_positions
+
+    for phi in queries:
+        found = [sorted(j.position.chosen) for j in justifications(domain, phi)]
+        assert found == _ordered(oracle.justifications(phi)), print_formula(phi)
+
+        witness = reasonably_infers(domain, phi)
+        first = next(
+            (p for p in expected_positions if _entails(oracle, p, phi)), None
+        )
+        assert oracle.reasonable(phi) is (witness is not None)
+        assert (sorted(witness.chosen) if witness else None) == first
+
+    picked = queries[:4]
+    contexts = [
+        sorted(
+            (print_formula(q), sorted(j.position.chosen)) for q, j in c.pairs
+        )
+        for c in maximal_consistent_contexts(domain, picked)
+    ]
+    assert contexts == _reference_contexts(oracle, picked)
+
+
+def test_budget_is_summed_over_islands():
+    # Each `a_i | b_i` island needs one decision to satisfy.
+    hypotheses = [Or(Atom(f"a{i}"), Atom(f"b{i}")) for i in range(2)]
+    assert new_domain([], hypotheses, max_decisions=1).consistent(
+        frozenset({0})
+    )
+    assert new_domain([], hypotheses, max_decisions=1).consistent(
+        frozenset({1})
+    )
+    with pytest.raises(ResourceLimit, match="exceeded 1 decisions"):
+        new_domain([], hypotheses, max_decisions=1).consistent(
+            frozenset({0, 1})
+        )
+    with pytest.raises(ResourceLimit, match="exceeded 1 decisions"):
+        new_domain(hypotheses, [], max_decisions=1)
+
+
+def test_generated_multi_island_base_hits_small_budget():
+    axioms, hypotheses, _, _ = _corpus(9)
+    with pytest.raises(ResourceLimit, match="exceeded 3 decisions"):
+        maximal_positions(new_domain(axioms, hypotheses, max_decisions=3))
+    assert maximal_positions(new_domain(axioms, hypotheses, max_decisions=1000))
+
+
+def test_query_definitions_do_not_pile_up(permit_domain, monkeypatch):
+    sizes: list[int] = []
+    real_solve = lri.engine.sat.solve
+
+    def counting_solve(clause_set, max_decisions=None):
+        sizes.append(len(clause_set.clauses))
+        return real_solve(clause_set, max_decisions)
+
+    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
+    probe = Atom("perm")
+
+    def check_size() -> int:
+        sizes.clear()
+        permit_domain.selection_entails(frozenset({0}), probe)
+        assert len(sizes) == 1
+        return sizes[0]
+
+    before = check_size()
+    rng = random.Random(5)
+    atoms = [Atom("act"), Atom("perm"), Atom("ex")]
+    queries: set[Formula] = set()
+    while len(queries) < 300:
+        queries.add(random_formula(rng, atoms, depth=4))
+    for phi in sorted(queries, key=print_formula):
+        reasonably_infers(permit_domain, phi)
+    assert check_size() == before
