@@ -38,7 +38,6 @@ from .formula import (
     And,
     Atom,
     Formula,
-    FormulaSchema,
     Iff,
     Implies,
     Not,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "And", "ArityMismatch", "Atom", "AxiomHypothesisOverlap", "Calculus",
     "Context", "DepthCheckResult", "DomainOfRules", "DuplicateHypothesis",
-    "EmptyDomain", "Formula", "FormulaSchema", "FormulaSyntaxError", "Iff",
+    "EmptyDomain", "Formula", "FormulaSyntaxError", "Iff",
     "Implies", "IncompleteRenaming", "InconsistentAxioms", "Justification",
     "LriError", "MixedDomains", "Not", "Or", "PartitionEdge",
     "PartitionGraph", "PartitionNode", "Position", "ProbeUniverse",

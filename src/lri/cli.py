@@ -7,8 +7,9 @@ carry the same seven fields (command, input, verdict, positions,
 justifications, contexts, diagnostics) and are serialized with sorted keys,
 so equal inputs produce byte-identical output.
 
-Exit codes: 0 success; 2 input could not be parsed or loaded; 3 the axiom
-set itself is inconsistent; 4 the decision budget was exceeded; 5 a query
+Exit codes: 0 success; 2 input could not be parsed or loaded, or the
+library refused an argument (ValueError); 3 the axiom set itself is
+inconsistent; 4 the decision budget was exceeded; 5 a query
 formula grounds to more than one instance; 6 invalid component indices.
 
 The interactive session (`repl`) reads one command per line, mutating
@@ -28,7 +29,6 @@ from . import kb as kbmod
 from .cnf import clausify, to_dimacs
 from .engine import (
     DomainOfRules,
-    MAX_CONTEXT_QUERIES,
     justifications,
     maximal_consistent_contexts,
     maximal_positions,
@@ -193,13 +193,6 @@ def justify_doc(domain: DomainOfRules, phi: Formula) -> dict:
 
 
 def context_doc(domain: DomainOfRules, queries: Sequence[Formula]) -> dict:
-    queries = list(queries)
-    if len(set(queries)) != len(queries):
-        raise _InputError("duplicate query formulas")
-    if len(queries) > MAX_CONTEXT_QUERIES:
-        raise _InputError(
-            f"too many query formulas (limit {MAX_CONTEXT_QUERIES})"
-        )
     contexts = maximal_consistent_contexts(domain, queries)
     return _doc(
         "context",
@@ -444,8 +437,6 @@ def cmd_compat(args) -> tuple[dict, int]:
 
 
 def cmd_witness(args) -> tuple[dict, int]:
-    if args.n < 2:
-        raise _InputError(f"need at least 2 components, got {args.n}")
     v = witness_variety(args.n)
     matrix = []
     for left_out in range(args.n):
@@ -838,7 +829,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LriError as err:
         doc = _error_doc(args.command, {}, err)
         code = _exit_code_for(err)
-    except OSError as err:
+    except (OSError, ValueError) as err:
         doc = _error_doc(args.command, {}, _InputError(str(err)))
         code = EXIT_INPUT
     if doc is not None:

@@ -22,7 +22,7 @@ Literals are signed integers: registry index + 1, negative for negation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Signature
 
@@ -47,7 +47,6 @@ class ClauseSet:
     clauses: tuple[Clause, ...]
     atoms: Mapping[int, Atom] = field(compare=False)
     aux: frozenset[int] = field(compare=False)
-    signature: Signature = field(compare=False, repr=False)
 
 
 class CnfBuilder:
@@ -152,7 +151,6 @@ class CnfBuilder:
             clauses=tuple(ordered),
             atoms={var: self._atoms[var] for var in reached},
             aux=frozenset(reached & self._aux_vars),
-            signature=self._sig,
         )
 
 
@@ -160,14 +158,14 @@ def _tautologous(clause: Clause) -> bool:
     return any(-lit in clause for lit in clause)
 
 
-def clausify(
-    formulas: Sequence[Formula],
-    signature: Signature,
-    builder: Optional[CnfBuilder] = None,
-) -> ClauseSet:
-    """Clause set asserting every formula in the sequence."""
-    b = builder if builder is not None else CnfBuilder(signature)
-    return b.clause_set([b.add(f) for f in formulas])
+def clausify(formulas: Sequence[Formula], signature: Signature) -> ClauseSet:
+    """Clause set asserting every formula in the sequence.
+
+    A fresh builder translates the formulas, so no definition carries over
+    from one call to the next; atoms are numbered by `signature`'s registry.
+    """
+    builder = CnfBuilder(signature)
+    return builder.clause_set([builder.add(f) for f in formulas])
 
 
 def to_dimacs(clause_set: ClauseSet) -> str:

@@ -123,12 +123,9 @@ class DomainOfRules:
         signature: Signature,
         max_decisions: Optional[int] = None,
     ) -> None:
-        unique_axioms: list[Formula] = []
-        for formula in axioms:
+        self.axioms: tuple[Formula, ...] = tuple(dict.fromkeys(axioms))
+        for formula in self.axioms:
             _require_ground(formula, "axiom")
-            if formula not in unique_axioms:
-                unique_axioms.append(formula)
-        self.axioms: tuple[Formula, ...] = tuple(unique_axioms)
 
         hyp_list = list(hypotheses)
         axiom_set = set(self.axioms)

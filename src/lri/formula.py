@@ -15,14 +15,13 @@ the only quantification the language supports (implicit universal prefixes).
 The Signature owns every name.  It also acts as the atom registry: each
 distinct ground atom receives a dense integer index in first-seen order, and
 those indices drive clause literals and the branching order of the
-satisfiability engine, so index assignment is append-only and locked.
+satisfiability engine, so index assignment is append-only.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -86,9 +85,6 @@ class Iff:
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Iff]
-
-# A schema is the same tree shape; the name signals that variables may occur.
-FormulaSchema = Formula
 
 _BINARY = (And, Or, Implies, Iff)
 _CONNECTIVE_TEXT = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
@@ -225,8 +221,7 @@ class Signature:
     Arities are checked either way.
 
     Indices for ground atoms are handed out densely in first-seen order and
-    never change afterwards; allocation is guarded by a lock so concurrent
-    readers cannot observe a half-registered atom.
+    never change afterwards.
     """
 
     def __init__(
@@ -246,7 +241,6 @@ class Signature:
         self.closed = closed
         self._atom_index: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
-        self._lock = threading.Lock()
 
     # -- declarations -------------------------------------------------------
 
@@ -296,9 +290,6 @@ class Signature:
     def has_predicate(self, name: str) -> bool:
         return name in self._arities
 
-    def has_constant(self, name: str) -> bool:
-        return name in self._constant_set
-
     def arity_of(self, name: str) -> int:
         try:
             return self._arities[name]
@@ -317,15 +308,11 @@ class Signature:
     def index_of(self, atom: Atom) -> int:
         """Dense index of a ground atom, allocated on first sight."""
         found = self._atom_index.get(atom)
-        if found is not None:
-            return found
-        with self._lock:
-            found = self._atom_index.get(atom)
-            if found is None:
-                found = len(self._atoms)
-                self._atoms.append(atom)
-                self._atom_index[atom] = found
-            return found
+        if found is None:
+            found = len(self._atoms)
+            self._atoms.append(atom)
+            self._atom_index[atom] = found
+        return found
 
     def atom_at(self, index: int) -> Atom:
         return self._atoms[index]
@@ -523,7 +510,7 @@ def parse_statements(
 # ---------------------------------------------------------------------------
 
 
-def ground(schema: FormulaSchema, signature: Signature) -> list[Formula]:
+def ground(schema: Formula, signature: Signature) -> list[Formula]:
     """All ground instances of a schema over the declared constants.
 
     Variables are substituted in every combination, iterating the constants

@@ -32,7 +32,6 @@ from .engine import DomainOfRules
 from .errors import FormulaSyntaxError, UnknownSymbol
 from .formula import (
     Formula,
-    FormulaSchema,
     Signature,
     ground,
     is_variable,
@@ -141,7 +140,7 @@ def loads(text: str) -> KnowledgeBase:
             chunks[name] = (match.end(), text[match.end() : end])
 
     signature = Signature(constants=declared or ())
-    sections: dict[str, list[FormulaSchema]] = {}
+    sections: dict[str, list[Formula]] = {}
     for name in ("axioms", "hypotheses", "queries"):
         offset, chunk = chunks.get(name, (0, ""))
         try:
@@ -182,7 +181,7 @@ def _parse_constants(line: str, offset: int) -> tuple[str, ...]:
 
 
 def _ground_all(
-    schemas: list[FormulaSchema], signature: Signature
+    schemas: list[Formula], signature: Signature
 ) -> tuple[Formula, ...]:
     out: list[Formula] = []
     for schema in schemas:

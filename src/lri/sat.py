@@ -1,4 +1,4 @@
-"""Satisfiability core: deterministic backtracking search plus references.
+"""Satisfiability core: deterministic backtracking search.
 
 `solve` is the one decision procedure behind every consistency and entailment
 question in the package.  Its search order is pinned down so that results,
@@ -12,20 +12,19 @@ Every assignment attempt at a branch point counts as one decision against a
 budget (10 million by default); exceeding the budget raises ResourceLimit
 rather than returning a wrong answer.
 
-The truth-table functions at the bottom answer the same questions by
-enumerating assignments.  They are exponential in the number of atoms and
-exist as an independent reference for tests and sanity checks.
+The package holds no second procedure to check `solve` against: the
+truth-table reference lives with the tests, in `tests/bruteforce.py`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .cnf import ClauseSet, clausify
 from .errors import ResourceLimit
-from .formula import Atom, Formula, Not, Signature, atoms_of, evaluate
+from .formula import Atom, Formula, Not, Signature
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -207,39 +206,3 @@ def minimal_inconsistent_subset(
             i += 1
     return core
 
-
-# ---------------------------------------------------------------------------
-# Truth-table references (exponential; for tests and small inputs only)
-# ---------------------------------------------------------------------------
-
-
-def _assignments(atoms: Sequence[Atom]) -> Iterable[dict[Atom, bool]]:
-    for bits in range(1 << len(atoms)):
-        yield {atom: bool(bits >> i & 1) for i, atom in enumerate(atoms)}
-
-
-def _sorted_atoms(formulas: Iterable[Formula]) -> list[Atom]:
-    universe = set()
-    for formula in formulas:
-        universe |= atoms_of(formula)
-    return sorted(universe, key=lambda a: (a.predicate, a.args))
-
-
-def truth_table_satisfiable(formulas: Sequence[Formula]) -> bool:
-    formulas = list(formulas)
-    atoms = _sorted_atoms(formulas)
-    return any(
-        all(evaluate(f, row) for f in formulas) for row in _assignments(atoms)
-    )
-
-
-def truth_table_entails(
-    premises: Sequence[Formula], conclusion: Formula
-) -> bool:
-    premises = list(premises)
-    atoms = _sorted_atoms(premises + [conclusion])
-    return all(
-        evaluate(conclusion, row)
-        for row in _assignments(atoms)
-        if all(evaluate(f, row) for f in premises)
-    )

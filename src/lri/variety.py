@@ -47,14 +47,6 @@ RULESET_CLASSICAL = "CLASSICAL"
 Label = Optional[Hashable]
 
 
-def _unique(formulas: Iterable[Formula]) -> tuple[Formula, ...]:
-    out: list[Formula] = []
-    for f in formulas:
-        if f not in out:
-            out.append(f)
-    return tuple(out)
-
-
 class Calculus:
     """A finite axiom set with a ruleset identifier and a lazy theorem set.
 
@@ -73,7 +65,7 @@ class Calculus:
     ) -> None:
         if ruleset != RULESET_CLASSICAL:
             raise ValueError(f"unsupported ruleset: {ruleset!r}")
-        self.axioms = _unique(axioms)
+        self.axioms = tuple(dict.fromkeys(axioms))
         for f in self.axioms:
             if not is_ground(f):
                 raise ValueError(
@@ -192,7 +184,7 @@ class ProbeUniverse:
     """
 
     def __init__(self, formulas: Iterable[Formula]) -> None:
-        unique = _unique(formulas)
+        unique = tuple(dict.fromkeys(formulas))
         for f in unique:
             if not is_ground(f):
                 raise ValueError(f"probe formula not ground: {print_formula(f)}")
@@ -285,8 +277,8 @@ class Variety:
 
     def generators(self) -> tuple[Formula, ...]:
         """Union of the renamed component axiom sets, in component order."""
-        return _unique(
-            f for axioms in self._renamed for f in axioms
+        return tuple(
+            dict.fromkeys(f for axioms in self._renamed for f in axioms)
         )
 
     def check_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
@@ -368,8 +360,8 @@ def is_compatible(
     every selected component, and an inconsistent union embeds in none.
     """
     indices = v.check_indices(subset)
-    union = _unique(
-        f for i in sorted(indices) for f in v.renamed_axioms(i)
+    union = tuple(
+        dict.fromkeys(f for i in sorted(indices) for f in v.renamed_axioms(i))
     )
     return sat.is_consistent(union, v.signature, max_decisions)
 
@@ -524,7 +516,10 @@ def partition_graph(
     shared atoms.
     """
     if groups is not None:
-        nodes = [_node(i, _unique(group)) for i, group in enumerate(groups)]
+        nodes = [
+            _node(i, tuple(dict.fromkeys(group)))
+            for i, group in enumerate(groups)
+        ]
         edges = []
         for i, j in itertools.combinations(range(len(nodes)), 2):
             shared = set(nodes[i].atoms) & set(nodes[j].atoms)
@@ -534,7 +529,7 @@ def partition_graph(
                 )
         return PartitionGraph(tuple(nodes), tuple(edges))
 
-    ordered = _unique(formulas)
+    ordered = tuple(dict.fromkeys(formulas))
     nodes = [
         _node(index, [ordered[i] for i in group])
         for index, group in enumerate(

@@ -269,6 +269,7 @@ def test_syntax_error_exits_2(capsys, permit_file):
 def test_duplicate_context_queries_exit_2(capsys, permit_file):
     code, doc, _ = run_json(capsys, "context", permit_file, "perm", "perm")
     assert code == 2
+    assert doc["diagnostics"]["error"] == "InputError"
     assert "duplicate" in doc["diagnostics"]["message"]
 
 
@@ -276,6 +277,7 @@ def test_too_many_context_queries_exit_2(capsys, permit_file):
     queries = [f"q{i}" for i in range(13)]
     code, doc, _ = run_json(capsys, "context", permit_file, *queries)
     assert code == 2
+    assert doc["diagnostics"]["error"] == "InputError"
     assert "too many" in doc["diagnostics"]["message"]
 
 
@@ -407,6 +409,15 @@ def test_repl_unknown_command_is_an_error_document():
     doc = _session().handle("frobnicate now")
     assert doc["verdict"] == "error"
     assert "unknown command" in doc["diagnostics"]["message"]
+
+
+def test_repl_duplicate_context_queries_are_an_input_error():
+    session = _session()
+    doc = session.handle("context perm. perm.")
+    assert doc["verdict"] == "error"
+    assert doc["diagnostics"]["error"] == "InputError"
+    assert "duplicate" in doc["diagnostics"]["message"]
+    assert session.handle("context perm.")["verdict"] == {"count": 1}
 
 
 def test_repl_errors_leave_state_intact():

@@ -64,6 +64,8 @@ def test_inconsistent_axioms_rejected():
 def test_duplicate_axioms_collapse():
     domain = build_domain(["p", "p"], ["q"])
     assert len(domain.axioms) == 1
+    domain = build_domain(["p", "q", "p"], ["r"])
+    assert _texts(domain, domain.axioms) == ["p", "q"]
 
 
 def test_non_ground_rules_rejected():

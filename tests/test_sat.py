@@ -16,11 +16,7 @@ from lri import (
     solve,
 )
 from lri.cnf import clausify
-from lri.sat import (
-    minimal_inconsistent_subset,
-    truth_table_entails,
-    truth_table_satisfiable,
-)
+from lri.sat import minimal_inconsistent_subset
 
 from bruteforce import TableOracle, make_atoms, random_formula
 
@@ -125,19 +121,6 @@ def test_random_agreement_with_truth_tables():
         sig = Signature()
         assert is_consistent(formulas, sig) is oracle.satisfiable(formulas)
         assert entails(formulas, goal, sig) is oracle.entails(formulas, goal)
-
-
-def test_reference_truth_table_helpers_agree():
-    rng = random.Random(58)
-    atoms = make_atoms(3)
-    for _ in range(60):
-        formulas = [random_formula(rng, atoms, 2) for _ in range(2)]
-        goal = random_formula(rng, atoms, 2)
-        oracle = TableOracle(formulas + [goal])
-        assert truth_table_satisfiable(formulas) is oracle.satisfiable(formulas)
-        assert truth_table_entails(formulas, goal) is oracle.entails(
-            formulas, goal
-        )
 
 
 def test_minimal_inconsistent_subset():

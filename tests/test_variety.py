@@ -46,6 +46,7 @@ def _calc(texts, sig=None):
 def test_calculus_deduplicates_axioms():
     c, _ = _calc(["p", "q", "p"])
     assert len(c.axioms) == 2
+    assert [print_formula(f) for f in c.axioms] == ["p", "q"]
 
 
 def test_calculus_rejects_unknown_ruleset():
