@@ -39,7 +39,6 @@ from .formula import Formula, Signature, print_formula
 from .sat import minimal_inconsistent_subset
 from .variety import (
     ProbeUniverse,
-    Variety,
     is_compatible,
     is_connected,
     is_discrete,
@@ -69,6 +68,11 @@ class _InvalidComponents(LriError):
 
 class _InputError(LriError):
     """Bad command input that is not a grammar-level syntax error."""
+
+
+def _as_lri_error(err: Exception) -> LriError:
+    """A refused library argument or a failed file access is an input error."""
+    return err if isinstance(err, LriError) else _InputError(str(err))
 
 
 def _exit_code_for(err: LriError) -> int:
@@ -153,148 +157,15 @@ def _tally(domain: DomainOfRules) -> dict:
     }
 
 
-# Shared between batch commands and the interactive session, so the two
-# surfaces produce identical documents for identical rule bases.
-
-
-def positions_doc(domain: DomainOfRules) -> dict:
-    positions = maximal_positions(domain)
-    return _doc(
-        "positions",
-        {},
-        {"count": len(positions)},
-        positions=[_position_fields(p) for p in positions],
-        diagnostics=_tally(domain),
-    )
-
-
-def infer_doc(domain: DomainOfRules, phi: Formula) -> dict:
-    witness = reasonably_infers(domain, phi)
-    found = justifications(domain, phi)
-    return _doc(
-        "infer",
-        {"formula": print_formula(phi)},
-        "reasonable" if witness is not None else "not-reasonable",
-        positions=[_position_fields(witness)] if witness is not None else [],
-        justification_docs=[_justification_fields(j) for j in found],
-        diagnostics=_tally(domain),
-    )
-
-
-def justify_doc(domain: DomainOfRules, phi: Formula) -> dict:
-    found = justifications(domain, phi)
-    return _doc(
-        "justify",
-        {"formula": print_formula(phi)},
-        "reasonable" if found else "not-reasonable",
-        justification_docs=[_justification_fields(j) for j in found],
-        diagnostics=_tally(domain),
-    )
-
-
-def context_doc(domain: DomainOfRules, queries: Sequence[Formula]) -> dict:
-    contexts = maximal_consistent_contexts(domain, queries)
-    return _doc(
-        "context",
-        {"queries": [print_formula(q) for q in queries]},
-        {"count": len(contexts)},
-        contexts=[_context_fields(c) for c in contexts],
-        diagnostics=_tally(domain),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Human rendering
-# ---------------------------------------------------------------------------
+def _hypothesis_body(fields: dict) -> str:
+    return ", ".join(fields["hypotheses"]) if fields["hypotheses"] else "(axioms only)"
 
 
 def _human(doc: dict) -> list[str]:
-    command = doc["command"]
-    verdict = doc["verdict"]
-    if verdict == "error":
+    if doc["verdict"] == "error":
         diag = doc["diagnostics"]
         return [f"error ({diag['error']}): {diag['message']}"]
-    if command == "check":
-        return [
-            "axioms: consistent",
-            "axioms + hypotheses: "
-            + ("consistent" if verdict["overall_consistent"] else "inconsistent"),
-            f"maximal positions: {verdict['maximal_position_count']}",
-        ]
-    if command == "positions":
-        lines = [f"{verdict['count']} maximal position(s)"]
-        for p in doc["positions"]:
-            body = ", ".join(p["hypotheses"]) if p["hypotheses"] else "(axioms only)"
-            lines.append(f"  indices {p['indices']}: {body}")
-        return lines
-    if command in ("infer", "justify"):
-        formula = doc["input"]["formula"]
-        lines = [f"{formula}: {verdict}"]
-        for p in doc["positions"]:
-            lines.append(f"  witness position indices {p['indices']}")
-        for j in doc["justifications"]:
-            body = ", ".join(j["hypotheses"]) if j["hypotheses"] else "(axioms only)"
-            lines.append(f"  justified by indices {j['indices']}: {body}")
-        return lines
-    if command == "context":
-        lines = [f"{verdict['count']} maximal consistent context(s)"]
-        for i, c in enumerate(doc["contexts"]):
-            lines.append(f"  context {i}:")
-            for pair in c["pairs"]:
-                lines.append(
-                    f"    {pair['conclusion']} via indices {pair['indices']}"
-                )
-            if not c["pairs"]:
-                lines.append("    (empty)")
-        return lines
-    if command == "variety":
-        lines = [
-            f"components: {verdict['component_count']}",
-            "discrete: " + ("yes" if verdict["discrete"] else "no"),
-            "connected: " + ("yes" if verdict["connected"] else "no"),
-        ]
-        for p in doc["positions"]:
-            lines.append(f"  component {p['component']}: {', '.join(p['axioms'])}")
-        if "upper_level" in verdict:
-            lines.append("upper level: " + ", ".join(verdict["upper_level"]))
-        return lines
-    if command == "compat":
-        state = "compatible" if verdict["compatible"] else "incompatible"
-        return [f"components {doc['input']['indices']}: {state}"]
-    if command == "witness":
-        lines = [
-            f"witness family with {verdict['n']} components",
-            "connected: " + ("yes" if verdict["connected"] else "no"),
-        ]
-        for row in verdict["matrix"]:
-            state = "compatible" if row["compatible"] else "incompatible"
-            lines.append(f"  components {row['indices']}: {state}")
-        return lines
-    if command == "partition":
-        lines = [f"{verdict['partition_count']} partition(s)"]
-        for part in verdict["partitions"]:
-            atoms = ", ".join(part["atoms"])
-            lines.append(f"  atoms {{{atoms}}}: {', '.join(part['formulas'])}")
-        return lines
-    if command in ("assert-ax", "assert-hyp"):
-        if not verdict["accepted"]:
-            return [
-                "refused: would make the axioms inconsistent"
-                if "conflict" in verdict
-                else f"refused: {verdict['reason']}",
-            ] + [f"  conflict: {f}" for f in verdict.get("conflict", [])]
-        lines = ["accepted"]
-        for h in verdict.get("hypotheses", []):
-            lines.append(f"  [{h['index']}] {h['formula']}")
-        return lines
-    if command == "retract-hyp":
-        lines = ["retracted"]
-        for h in verdict.get("hypotheses", []):
-            lines.append(f"  [{h['index']}] {h['formula']}")
-        return lines
-    if command == "save":
-        return [f"saved to {verdict['path']}"]
-    return [json.dumps(verdict, sort_keys=True)]
+    return _VERBS[doc["command"]].render(doc)
 
 
 def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
@@ -307,12 +178,13 @@ def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Batch command handlers
+# Verb handlers, each followed by the human rendering of its document
 # ---------------------------------------------------------------------------
-
-
-def _load(args) -> kbmod.KnowledgeBase:
-    return kbmod.load(args.file)
+#
+# A query verb's handler takes the rule base, its domain and the verb's
+# operand, if it has one.  The batch verb and the interactive session both
+# call it, so the two surfaces produce identical documents for identical
+# rule bases.
 
 
 def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
@@ -325,8 +197,8 @@ def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
     return grounded[0]
 
 
-def cmd_check(args) -> tuple[dict, int]:
-    base = _load(args)
+def cmd_check(args) -> dict:
+    base = kbmod.load(args.file)
     domain = base.domain(args.max_decisions)
     positions = maximal_positions(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
@@ -341,47 +213,115 @@ def cmd_check(args) -> tuple[dict, int]:
         "overall_consistent": overall,
         "maximal_position_count": len(positions),
     }
-    return _doc("check", {}, verdict, diagnostics=_tally(domain)), EXIT_OK
+    return _doc("check", {}, verdict, diagnostics=_tally(domain))
 
 
-def cmd_positions(args) -> tuple[dict, int]:
-    domain = _load(args).domain(args.max_decisions)
-    return positions_doc(domain), EXIT_OK
+def _render_check(doc: dict) -> list[str]:
+    verdict = doc["verdict"]
+    return [
+        "axioms: consistent",
+        "axioms + hypotheses: "
+        + ("consistent" if verdict["overall_consistent"] else "inconsistent"),
+        f"maximal positions: {verdict['maximal_position_count']}",
+    ]
 
 
-def cmd_infer(args) -> tuple[dict, int]:
-    base = _load(args)
-    domain = base.domain(args.max_decisions)
-    return infer_doc(domain, _single_ground(base, args.formula)), EXIT_OK
+def positions_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules) -> dict:
+    positions = maximal_positions(domain)
+    return _doc(
+        "positions",
+        {},
+        {"count": len(positions)},
+        positions=[_position_fields(p) for p in positions],
+        diagnostics=_tally(domain),
+    )
 
 
-def cmd_justify(args) -> tuple[dict, int]:
-    base = _load(args)
-    domain = base.domain(args.max_decisions)
-    return justify_doc(domain, _single_ground(base, args.formula)), EXIT_OK
+def _render_positions(doc: dict) -> list[str]:
+    return [f"{doc['verdict']['count']} maximal position(s)"] + [
+        f"  indices {p['indices']}: {_hypothesis_body(p)}"
+        for p in doc["positions"]
+    ]
 
 
-def cmd_context(args) -> tuple[dict, int]:
-    base = _load(args)
-    domain = base.domain(args.max_decisions)
-    if args.queries:
-        queries = [g for text in args.queries for g in base.parse_query(text)]
+def infer_doc(
+    base: kbmod.KnowledgeBase, domain: DomainOfRules, formula: str
+) -> dict:
+    phi = _single_ground(base, formula)
+    witness = reasonably_infers(domain, phi)
+    found = justifications(domain, phi)
+    return _doc(
+        "infer",
+        {"formula": print_formula(phi)},
+        "reasonable" if witness is not None else "not-reasonable",
+        positions=[_position_fields(witness)] if witness is not None else [],
+        justification_docs=[_justification_fields(j) for j in found],
+        diagnostics=_tally(domain),
+    )
+
+
+def justify_doc(
+    base: kbmod.KnowledgeBase, domain: DomainOfRules, formula: str
+) -> dict:
+    phi = _single_ground(base, formula)
+    found = justifications(domain, phi)
+    return _doc(
+        "justify",
+        {"formula": print_formula(phi)},
+        "reasonable" if found else "not-reasonable",
+        justification_docs=[_justification_fields(j) for j in found],
+        diagnostics=_tally(domain),
+    )
+
+
+def _render_inference(doc: dict) -> list[str]:
+    """Human rendering of both `infer` and `justify` documents."""
+    return (
+        [f"{doc['input']['formula']}: {doc['verdict']}"]
+        + [f"  witness position indices {p['indices']}" for p in doc["positions"]]
+        + [
+            f"  justified by indices {j['indices']}: {_hypothesis_body(j)}"
+            for j in doc["justifications"]
+        ]
+    )
+
+
+def context_doc(
+    base: kbmod.KnowledgeBase, domain: DomainOfRules, queries
+) -> dict:
+    """Contexts over the batch verb's query texts or the session's statements.
+
+    Either way, no queries at all means the base's own queries.
+    """
+    if not queries:
+        formulas = base.queries
+    elif isinstance(queries, str):
+        formulas = base.ground_statements(queries)
     else:
-        queries = list(base.queries)
-    return context_doc(domain, queries), EXIT_OK
+        formulas = [g for text in queries for g in base.parse_query(text)]
+    contexts = maximal_consistent_contexts(domain, formulas)
+    return _doc(
+        "context",
+        {"queries": [print_formula(q) for q in formulas]},
+        {"count": len(contexts)},
+        contexts=[_context_fields(c) for c in contexts],
+        diagnostics=_tally(domain),
+    )
 
 
-def _component_fields(v: Variety, i: int, positions) -> dict:
-    fields = {
-        "component": i,
-        "axioms": [print_formula(f) for f in v.renamed_axioms(i)],
-    }
-    fields.update(_position_fields(positions[i]))
-    return fields
+def _render_context(doc: dict) -> list[str]:
+    lines = [f"{doc['verdict']['count']} maximal consistent context(s)"]
+    for i, c in enumerate(doc["contexts"]):
+        lines.append(f"  context {i}:")
+        for pair in c["pairs"]:
+            lines.append(f"    {pair['conclusion']} via indices {pair['indices']}")
+        if not c["pairs"]:
+            lines.append("    (empty)")
+    return lines
 
 
-def cmd_variety(args) -> tuple[dict, int]:
-    base = _load(args)
+def cmd_variety(args) -> dict:
+    base = kbmod.load(args.file)
     domain = base.domain(args.max_decisions)
     v = variety_of(domain)
     positions = maximal_positions(domain)
@@ -392,34 +332,44 @@ def cmd_variety(args) -> tuple[dict, int]:
     }
     if args.probe:
         with open(args.probe, "r", encoding="utf-8") as handle:
-            probe_formulas = [
-                g
-                for schema in kbmod.parse_statements(
-                    handle.read(), base.signature
-                )
-                for g in kbmod.ground(schema, base.signature)
-            ]
-        base._check_constants()
-        probe = ProbeUniverse(probe_formulas)
+            probe = ProbeUniverse(base.ground_statements(handle.read()))
         level = upper_level(v, probe, args.max_decisions)
         verdict["upper_level"] = [print_formula(f) for f in level]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(overlap_dot(v))
-    doc = _doc(
+    return _doc(
         "variety",
         {},
         verdict,
         positions=[
-            _component_fields(v, i, positions) for i in range(len(v))
+            {
+                "component": i,
+                "axioms": [print_formula(f) for f in v.renamed_axioms(i)],
+                **_position_fields(position),
+            }
+            for i, position in enumerate(positions)
         ],
         diagnostics=_tally(domain),
     )
-    return doc, EXIT_OK
 
 
-def cmd_compat(args) -> tuple[dict, int]:
-    base = _load(args)
+def _render_variety(doc: dict) -> list[str]:
+    verdict = doc["verdict"]
+    lines = [
+        f"components: {verdict['component_count']}",
+        "discrete: " + ("yes" if verdict["discrete"] else "no"),
+        "connected: " + ("yes" if verdict["connected"] else "no"),
+    ]
+    for p in doc["positions"]:
+        lines.append(f"  component {p['component']}: {', '.join(p['axioms'])}")
+    if "upper_level" in verdict:
+        lines.append("upper level: " + ", ".join(verdict["upper_level"]))
+    return lines
+
+
+def cmd_compat(args) -> dict:
+    base = kbmod.load(args.file)
     domain = base.domain(args.max_decisions)
     v = variety_of(domain)
     try:
@@ -427,33 +377,28 @@ def cmd_compat(args) -> tuple[dict, int]:
         compatible = is_compatible(v, indices, args.max_decisions)
     except (IndexError, ValueError) as err:
         raise _InvalidComponents(str(err)) from None
-    doc = _doc(
+    return _doc(
         "compat",
         {"indices": list(args.indices)},
         {"compatible": compatible},
         diagnostics={"component_count": len(v)},
     )
-    return doc, EXIT_OK
 
 
-def cmd_witness(args) -> tuple[dict, int]:
+def _render_compat(doc: dict) -> list[str]:
+    state = "compatible" if doc["verdict"]["compatible"] else "incompatible"
+    return [f"components {doc['input']['indices']}: {state}"]
+
+
+def cmd_witness(args) -> dict:
     v = witness_variety(args.n)
-    matrix = []
-    for left_out in range(args.n):
-        indices = [i for i in range(args.n) if i != left_out]
-        matrix.append(
-            {
-                "indices": indices,
-                "compatible": is_compatible(v, indices, args.max_decisions),
-            }
-        )
-    full = list(range(args.n))
-    matrix.append(
-        {
-            "indices": full,
-            "compatible": is_compatible(v, full, args.max_decisions),
-        }
-    )
+    # every subset leaving one component out, then the whole family
+    subsets = [[i for i in range(args.n) if i != out] for out in range(args.n)]
+    subsets.append(list(range(args.n)))
+    matrix = [
+        {"indices": s, "compatible": is_compatible(v, s, args.max_decisions)}
+        for s in subsets
+    ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(overlap_dot(v))
@@ -462,11 +407,23 @@ def cmd_witness(args) -> tuple[dict, int]:
         "connected": is_connected(v),
         "matrix": matrix,
     }
-    return _doc("witness", {"n": args.n}, verdict), EXIT_OK
+    return _doc("witness", {"n": args.n}, verdict)
 
 
-def cmd_partition(args) -> tuple[dict, int]:
-    base = _load(args)
+def _render_witness(doc: dict) -> list[str]:
+    verdict = doc["verdict"]
+    lines = [
+        f"witness family with {verdict['n']} components",
+        "connected: " + ("yes" if verdict["connected"] else "no"),
+    ]
+    for row in verdict["matrix"]:
+        state = "compatible" if row["compatible"] else "incompatible"
+        lines.append(f"  components {row['indices']}: {state}")
+    return lines
+
+
+def cmd_partition(args) -> dict:
+    base = kbmod.load(args.file)
     graph = partition_graph(list(base.axioms) + list(base.hypotheses))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
@@ -481,7 +438,22 @@ def cmd_partition(args) -> tuple[dict, int]:
             for node in graph.nodes
         ],
     }
-    return _doc("partition", {}, verdict), EXIT_OK
+    return _doc("partition", {}, verdict)
+
+
+def _render_partition(doc: dict) -> list[str]:
+    verdict = doc["verdict"]
+    lines = [f"{verdict['partition_count']} partition(s)"]
+    for part in verdict["partitions"]:
+        atoms = ", ".join(part["atoms"])
+        lines.append(f"  atoms {{{atoms}}}: {', '.join(part['formulas'])}")
+    return lines
+
+
+def cmd_repl(args) -> None:
+    base = kbmod.load(args.file) if args.file else None
+    session = ReplSession(base, args.max_decisions, args.pretty)
+    session.run(sys.stdin, sys.stdout, sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +485,6 @@ class ReplSession:
         self._max_decisions = max_decisions
         self._pretty = pretty
 
-    def _domain(self) -> DomainOfRules:
-        return DomainOfRules(
-            self._axioms,
-            self._hypotheses,
-            self._base.signature,
-            self._max_decisions,
-        )
-
     def _view(self) -> kbmod.KnowledgeBase:
         return kbmod.KnowledgeBase(
             self._base.signature,
@@ -545,66 +509,37 @@ class ReplSession:
         rest = rest.strip()
         try:
             return self._dispatch(word, rest)
-        except LriError as err:
-            return _error_doc(word, {"text": rest}, err)
-        except ValueError as err:
-            return _error_doc(word, {"text": rest}, _InputError(str(err)))
+        except (LriError, ValueError) as err:
+            return _error_doc(word, {"text": rest}, _as_lri_error(err))
 
     def _dispatch(self, word: str, rest: str) -> Optional[dict]:
-        if word == "quit":
-            return None
-        if word == "assert-ax":
-            return self._assert_axiom(rest)
-        if word == "assert-hyp":
-            return self._assert_hypothesis(rest)
-        if word == "retract-hyp":
-            return self._retract_hypothesis(rest)
-        if word == "positions":
-            return positions_doc(self._domain())
-        if word == "infer":
-            return infer_doc(self._domain(), self._single(rest))
-        if word == "justify":
-            return justify_doc(self._domain(), self._single(rest))
-        if word == "context":
-            return context_doc(self._domain(), self._query_list(rest))
-        if word == "save":
-            return self._save(rest)
-        raise _InputError(
-            f"unknown command {word!r}; commands: assert-ax, assert-hyp, "
-            "retract-hyp, infer, justify, positions, context, save, quit"
-        )
-
-    def _single(self, text: str) -> Formula:
-        if not text:
-            raise _InputError("missing formula")
-        return _single_ground(self._view(), text)
-
-    def _query_list(self, text: str) -> list[Formula]:
-        if not text:
-            return list(self._queries)
-        view = self._view()
-        schemas = kbmod.parse_statements(text, view.signature)
-        view._check_constants()
-        grounded: list[Formula] = []
-        for schema in schemas:
-            grounded.extend(kbmod.ground(schema, view.signature))
-        return grounded
+        verb = _VERBS.get(word)
+        if verb is None or verb.repl is None:
+            commands = sorted(
+                (v.repl, name) for name, v in _VERBS.items() if v.repl is not None
+            )
+            raise _InputError(
+                f"unknown command {word!r}; commands: "
+                + ", ".join(name for _, name in commands)
+            )
+        if verb.query is None:
+            verb.require_operand(rest)
+            return verb.edit(self, rest)
+        base = self._view()
+        domain = base.domain(self._max_decisions)
+        verb.require_operand(rest)
+        return verb.query(base, domain, *([rest] if verb.arguments else []))
 
     def _assert_axiom(self, text: str) -> dict:
-        if not text:
-            raise _InputError("missing formula")
         instances = self._view().parse_query(text)
         candidate = list(self._axioms)
         candidate.extend(f for f in instances if f not in candidate)
-        domain_ok = True
         try:
             DomainOfRules(
                 candidate, self._hypotheses, self._base.signature,
                 self._max_decisions,
             )
         except InconsistentAxioms:
-            domain_ok = False
-        if not domain_ok:
             conflict = minimal_inconsistent_subset(
                 candidate, self._base.signature, self._max_decisions
             )
@@ -625,34 +560,19 @@ class ReplSession:
         )
 
     def _assert_hypothesis(self, text: str) -> dict:
-        if not text:
-            raise _InputError("missing formula")
         instances = self._view().parse_query(text)
+        formulas = {"formula": [print_formula(f) for f in instances]}
         for f in instances:
-            if f in self._hypotheses:
-                return _doc(
-                    "assert-hyp",
-                    {"formula": [print_formula(g) for g in instances]},
-                    {
-                        "accepted": False,
-                        "reason": f"already a hypothesis: {print_formula(f)}",
-                    },
-                )
-            if f in self._axioms:
-                return _doc(
-                    "assert-hyp",
-                    {"formula": [print_formula(g) for g in instances]},
-                    {
-                        "accepted": False,
-                        "reason": f"already an axiom: {print_formula(f)}",
-                    },
-                )
+            for pool, role in (
+                (self._hypotheses, "a hypothesis"), (self._axioms, "an axiom")
+            ):
+                if f in pool:
+                    reason = f"already {role}: {print_formula(f)}"
+                    verdict = {"accepted": False, "reason": reason}
+                    return _doc("assert-hyp", formulas, verdict)
         self._hypotheses.extend(instances)
-        return _doc(
-            "assert-hyp",
-            {"formula": [print_formula(f) for f in instances]},
-            {"accepted": True, "hypotheses": self._hypothesis_listing()},
-        )
+        verdict = {"accepted": True, "hypotheses": self._hypothesis_listing()}
+        return _doc("assert-hyp", formulas, verdict)
 
     def _retract_hypothesis(self, text: str) -> dict:
         try:
@@ -677,12 +597,11 @@ class ReplSession:
         )
 
     def _save(self, path: str) -> dict:
-        if not path:
-            raise _InputError("missing path")
-        kbmod.save(path, self._domain(), tuple(self._queries))
+        domain = self._view().domain(self._max_decisions)
+        kbmod.save(path, domain, tuple(self._queries))
         return _doc("save", {"path": path}, {"path": path})
 
-    def run(self, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> int:
+    def run(self, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> None:
         while True:
             stderr.write("lri> ")
             stderr.flush()
@@ -694,101 +613,162 @@ class ReplSession:
                 break
             if doc:
                 _emit(doc, self._pretty, stdout, stderr)
-        return EXIT_OK
 
 
-def cmd_repl(args) -> tuple[Optional[dict], int]:
-    base = kbmod.load(args.file) if args.file else None
-    session = ReplSession(base, args.max_decisions, args.pretty)
-    return None, session.run(sys.stdin, sys.stdout, sys.stderr)
+def _hypothesis_lines(verdict: dict) -> list[str]:
+    return [f"  [{h['index']}] {h['formula']}" for h in verdict.get("hypotheses", [])]
+
+
+def _render_assertion(doc: dict) -> list[str]:
+    """Human rendering of both `assert-ax` and `assert-hyp` documents."""
+    verdict = doc["verdict"]
+    if verdict["accepted"]:
+        return ["accepted"] + _hypothesis_lines(verdict)
+    if "conflict" in verdict:
+        return ["refused: would make the axioms inconsistent"] + [
+            f"  conflict: {f}" for f in verdict["conflict"]
+        ]
+    return [f"refused: {verdict['reason']}"]
+
+
+def _render_retraction(doc: dict) -> list[str]:
+    return ["retracted"] + _hypothesis_lines(doc["verdict"])
+
+
+def _render_save(doc: dict) -> list[str]:
+    return [f"saved to {doc['verdict']['path']}"]
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and entry point
+# The verb table, argument parsing and entry point
 # ---------------------------------------------------------------------------
+
+
+class _Verb:
+    """One verb: its arguments, the handler that builds its document, and
+    the renderer of that document.
+
+    `help` makes it a command line verb, and `repl` a session command at
+    that place in the session's command list.  One handler is set:
+    `query(base, domain, *operand)` serves both surfaces, `batch(args)` the
+    command line only, and `edit(session, text)` the session only.  The
+    command line reads a query verb's rule base from a `file` argument put
+    before the others.  The session passes the rest of the line as the
+    operand, and refuses an empty one where the first argument is required.
+    """
+
+    def __init__(
+        self, render, help=None, *arguments,
+        repl=None, query=None, batch=None, edit=None,
+    ) -> None:
+        self.render, self.help, self.arguments = render, help, arguments
+        self.repl, self.query, self.batch, self.edit = repl, query, batch, edit
+
+    def run(self, args) -> Optional[dict]:
+        """This command line verb's document for parsed arguments."""
+        if self.query is None:
+            return self.batch(args)
+        base = kbmod.load(args.file)
+        domain = base.domain(args.max_decisions)
+        return self.query(
+            base, domain, *(getattr(args, name) for name, _ in self.arguments)
+        )
+
+    def require_operand(self, text: str) -> None:
+        if not text and self.arguments and "nargs" not in self.arguments[0][1]:
+            raise _InputError(f"missing {self.arguments[0][0]}")
+
+
+def _arg(name: str, **options) -> tuple[str, dict]:
+    """One `add_argument` call: the argument's name and its options."""
+    return name, options
+
+
+_COMMON_OPTIONS = (
+    _arg("--pretty", action="store_true",
+         help="human-readable output on stdout instead of JSON"),
+    _arg("--max-decisions", type=int, metavar="N",
+         help="decision budget per question"),
+)
+_FILE = _arg("file")
+_FORMULA = _arg("formula")
+_OVERLAP_DOT = _arg(
+    "--dot", metavar="PATH", help="write the component overlap graph"
+)
+
+# Command line verbs in `--help` order; `repl` orders the session's list.
+_VERBS = {
+    "check": _Verb(
+        _render_check, "report consistency of a knowledge base", _FILE,
+        _arg("--dimacs", metavar="PATH",
+             help="write the clause translation of axioms + hypotheses"),
+        batch=cmd_check),
+    "positions": _Verb(
+        _render_positions, "list maximal positions",
+        repl=5, query=positions_doc),
+    "infer": _Verb(
+        _render_inference, "test reasonable inference of a formula", _FORMULA,
+        repl=3, query=infer_doc),
+    "justify": _Verb(
+        _render_inference, "list minimal justifications", _FORMULA,
+        repl=4, query=justify_doc),
+    "context": _Verb(
+        _render_context, "maximal consistent contexts over query formulas",
+        _arg("queries", nargs="*",
+             help="query statements (defaults to the file's queries)"),
+        repl=6, query=context_doc),
+    "variety": _Verb(
+        _render_variety, "the variety of components over maximal positions",
+        _FILE,
+        _arg("--probe", metavar="PATH",
+             help="statements file; report which hold in some component"),
+        _OVERLAP_DOT, batch=cmd_variety),
+    "compat": _Verb(
+        _render_compat, "compatibility of selected variety components",
+        _FILE, _arg("indices", nargs="+", type=int), batch=cmd_compat),
+    "witness": _Verb(
+        _render_witness, "n-component family compatible only in proper subsets",
+        _arg("n", type=int), _OVERLAP_DOT, batch=cmd_witness),
+    "partition": _Verb(
+        _render_partition, "partition the rule base by shared atoms", _FILE,
+        _arg("--dot", metavar="PATH", help="write the partition graph"),
+        batch=cmd_partition),
+    "repl": _Verb(
+        None, "interactive session", _arg("file", nargs="?", default=None),
+        batch=cmd_repl),
+    "assert-ax": _Verb(
+        _render_assertion, None, _FORMULA,
+        repl=0, edit=ReplSession._assert_axiom),
+    "assert-hyp": _Verb(
+        _render_assertion, None, _FORMULA,
+        repl=1, edit=ReplSession._assert_hypothesis),
+    "retract-hyp": _Verb(
+        _render_retraction, repl=2, edit=ReplSession._retract_hypothesis),
+    "save": _Verb(
+        _render_save, None, _arg("path"), repl=7, edit=ReplSession._save),
+    "quit": _Verb(None, repl=8, edit=lambda session, text: None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--pretty",
-        action="store_true",
-        help="human-readable output on stdout instead of JSON",
-    )
-    common.add_argument(
-        "--max-decisions",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decision budget per satisfiability search",
-    )
-
+    for name, options in _COMMON_OPTIONS:
+        common.add_argument(name, **options)
     parser = argparse.ArgumentParser(
         prog="lri",
         description="Reasonable inference over possibly inconsistent rule bases.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("check", cmd_check, help="report consistency of a knowledge base")
-    p.add_argument("file")
-    p.add_argument("--dimacs", metavar="PATH",
-                   help="write the clause translation of axioms + hypotheses")
-
-    p = add("positions", cmd_positions, help="list maximal positions")
-    p.add_argument("file")
-
-    p = add("infer", cmd_infer, help="test reasonable inference of a formula")
-    p.add_argument("file")
-    p.add_argument("formula")
-
-    p = add("justify", cmd_justify, help="list minimal justifications")
-    p.add_argument("file")
-    p.add_argument("formula")
-
-    p = add("context", cmd_context,
-            help="maximal consistent contexts over query formulas")
-    p.add_argument("file")
-    p.add_argument("queries", nargs="*",
-                   help="query statements (defaults to the file's queries)")
-
-    p = add("variety", cmd_variety,
-            help="the variety of components over maximal positions")
-    p.add_argument("file")
-    p.add_argument("--probe", metavar="PATH",
-                   help="statements file; report which hold in some component")
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the component overlap graph")
-
-    p = add("compat", cmd_compat,
-            help="compatibility of selected variety components")
-    p.add_argument("file")
-    p.add_argument("indices", nargs="+", type=int)
-
-    p = add("witness", cmd_witness,
-            help="n-component family compatible only in proper subsets")
-    p.add_argument("n", type=int)
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the component overlap graph")
-
-    p = add("partition", cmd_partition,
-            help="partition the rule base by shared atoms")
-    p.add_argument("file")
-    p.add_argument("--dot", metavar="PATH",
-                   help="write the partition graph")
-
-    p = add("repl", cmd_repl, help="interactive session")
-    p.add_argument("file", nargs="?", default=None)
-
+    for command, verb in _VERBS.items():
+        if verb.help is None:
+            continue
+        p = sub.add_parser(command, parents=[common], help=verb.help)
+        arguments = verb.arguments
+        if verb.query is not None:
+            arguments = (_FILE,) + arguments
+        for name, options in arguments:
+            p.add_argument(name, **options)
     return parser
-
-
-_FLAG_OPTIONS = {"-h", "--help", "--pretty"}
-_VALUE_OPTIONS = {"--max-decisions", "--probe", "--dot", "--dimacs"}
 
 
 def _insert_separator(argv: Sequence[str]) -> list[str]:
@@ -797,7 +777,16 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     Formulas routinely start with the negation sign, which argparse would
     otherwise reject as an unknown option.  Everything after the separator
     is positional, so option flags must come before any negated formula.
+    Known options are those of the verb table, plus argparse's own help.
     """
+    declared = [a for verb in _VERBS.values() for a in verb.arguments]
+    options = [
+        (name, kw) for name, kw in [*_COMMON_OPTIONS, *declared]
+        if name.startswith("-")
+    ]
+    flags = {"-h", "--help"}
+    flags.update(name for name, kw in options if kw.get("action") == "store_true")
+    valued = {name for name, _ in options} - flags
     out = list(argv)
     i = 0
     while i < len(out):
@@ -805,13 +794,13 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
         if token == "--":
             break
         if token.startswith("-"):
-            if token in _FLAG_OPTIONS:
+            if token in flags:
                 i += 1
                 continue
-            if token in _VALUE_OPTIONS:
+            if token in valued:
                 i += 2
                 continue
-            if any(token.startswith(opt + "=") for opt in _VALUE_OPTIONS):
+            if any(token.startswith(opt + "=") for opt in valued):
                 i += 1
                 continue
             out.insert(i, "--")
@@ -824,14 +813,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_insert_separator(argv))
+    code = EXIT_OK
     try:
-        doc, code = args.handler(args)
-    except LriError as err:
+        doc = _VERBS[args.command].run(args)
+    except (LriError, OSError, ValueError) as err:
+        err = _as_lri_error(err)
         doc = _error_doc(args.command, {}, err)
         code = _exit_code_for(err)
-    except (OSError, ValueError) as err:
-        doc = _error_doc(args.command, {}, _InputError(str(err)))
-        code = EXIT_INPUT
     if doc is not None:
         _emit(doc, args.pretty, sys.stdout, sys.stderr)
     return code

@@ -1,14 +1,17 @@
 """Exception types shared across the package.
 
-Every error the library raises deliberately derives from LriError, so callers
-(notably the command line front end) can separate expected failures from bugs.
+Errors in input text, rule bases and search budgets derive from LriError, so
+callers (notably the command line front end) can separate expected failures
+from bugs.  A bad argument to a library function (say, a non-ground formula)
+raises a plain ValueError or IndexError instead; the command line reports it
+as an input error, exit 2 (exit 6 for bad `compat` component indices).
 """
 
 from __future__ import annotations
 
 
 class LriError(Exception):
-    """Base class for all errors raised by this package on purpose."""
+    """Base class for the package's input, rule-base and budget errors."""
 
 
 class FormulaSyntaxError(LriError):

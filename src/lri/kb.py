@@ -66,24 +66,35 @@ class KnowledgeBase:
 
         New predicates are fine (queries may probe fresh atoms); new
         constants are rejected when the base declared its constant list,
-        because they would silently change the grounding domain.
+        because they would silently change the grounding domain.  A rejected
+        statement leaves the signature as it was.
         """
-        schema = parse_formula(text, self.signature)
-        self._check_constants()
-        return ground(schema, self.signature)
+        return ground(self._parse(parse_formula, text), self.signature)
 
-    def _check_constants(self) -> None:
-        if self.declared_constants is None:
-            return
-        extras = [
-            c
-            for c in self.signature.constants
-            if c not in self.declared_constants
-        ]
-        if extras:
-            raise UnknownSymbol(
-                f"constant '{extras[0]}' is not in the declared constants line"
-            )
+    def ground_statements(self, text: str) -> tuple[Formula, ...]:
+        """Parse period-terminated statements and ground each, as parse_query."""
+        return _ground_all(self._parse(parse_statements, text), self.signature)
+
+    def _parse(self, parse, text: str):
+        # A trial parse on a copy refuses new constants before the shared
+        # signature declares them.
+        if self.declared_constants is not None:
+            trial = Signature(self.signature.predicates, self.signature.constants)
+            parse(text, trial)
+            _check_constants(trial, self.declared_constants)
+        return parse(text, self.signature)
+
+
+def _check_constants(
+    signature: Signature, declared: Optional[tuple[str, ...]]
+) -> None:
+    if declared is None:
+        return
+    extras = [c for c in signature.constants if c not in declared]
+    if extras:
+        raise UnknownSymbol(
+            f"constant '{extras[0]}' is not in the declared constants line"
+        )
 
 
 def _only_comments(text: str) -> bool:
@@ -155,7 +166,7 @@ def loads(text: str) -> KnowledgeBase:
         queries=_ground_all(sections["queries"], signature),
         declared_constants=declared,
     )
-    kb._check_constants()
+    _check_constants(signature, declared)
     return kb
 
 

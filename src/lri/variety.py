@@ -275,12 +275,6 @@ class Variety:
         label = self.labels[i]
         return frozenset((label, f) for f in self._renamed[i])
 
-    def generators(self) -> tuple[Formula, ...]:
-        """Union of the renamed component axiom sets, in component order."""
-        return tuple(
-            dict.fromkeys(f for axioms in self._renamed for f in axioms)
-        )
-
     def check_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
         indices = tuple(subset)
         if not indices:

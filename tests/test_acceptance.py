@@ -14,8 +14,6 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from lri import (
     And,
     Atom,

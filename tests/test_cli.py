@@ -420,6 +420,26 @@ def test_repl_duplicate_context_queries_are_an_input_error():
     assert session.handle("context perm.")["verdict"] == {"count": 1}
 
 
+def test_repl_refused_constant_leaves_the_session_usable(tmp_path):
+    session = ReplSession(
+        loads(
+            "constants: a b\naxioms:\n    p(a).\n"
+            "hypotheses:\n    p(X) -> q(X).\n"
+        )
+    )
+    doc = session.handle("infer q(zz)")
+    assert doc["diagnostics"] == {
+        "error": "UnknownSymbol",
+        "message": "constant 'zz' is not in the declared constants line",
+    }
+    assert session.handle("context q(zz).")["verdict"] == "error"
+    assert session.handle("infer q(a)")["verdict"] == "reasonable"
+    assert session.handle("assert-hyp r(a)")["verdict"]["accepted"] is True
+    target = tmp_path / "out.lri"
+    session.handle(f"save {target}")
+    assert target.read_text(encoding="utf-8").splitlines()[0] == "constants: a b"
+
+
 def test_repl_errors_leave_state_intact():
     session = _session()
     session.handle("infer perm &")

@@ -3,7 +3,7 @@
 import pytest
 
 from lri import FormulaSyntaxError, UnknownSymbol, parse_formula, print_formula
-from lri.kb import KnowledgeBase, dump_domain, dumps, load, loads, save
+from lri.kb import dump_domain, dumps, load, loads, save
 
 PERMIT_TEXT = """\
 # environmental permit scenario
@@ -165,6 +165,17 @@ def test_parse_query_rejects_new_constants_when_declared():
     kb = loads("constants: a\naxioms:\n    p(a).\n")
     with pytest.raises(UnknownSymbol):
         kb.parse_query("p(newcomer)")
+
+
+def test_rejected_constant_leaves_the_signature_unchanged():
+    kb = loads("constants: a\naxioms:\n    p(a).\n")
+    with pytest.raises(UnknownSymbol, match="constant 'zz' is not"):
+        kb.parse_query("q(zz)")
+    with pytest.raises(UnknownSymbol, match="constant 'zz' is not"):
+        kb.ground_statements("r(a). s(zz).")
+    assert kb.signature.constants == ("a",)
+    assert not kb.signature.has_predicate("q")
+    assert _texts(kb.ground_statements("q(X). r(a).")) == ["q(a)", "r(a)"]
 
 
 # ---------------------------------------------------------------------------

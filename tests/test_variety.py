@@ -6,7 +6,6 @@ import random
 import pytest
 
 from lri import (
-    Atom,
     Calculus,
     IncompleteRenaming,
     ProbeUniverse,
