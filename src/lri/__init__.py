@@ -51,7 +51,7 @@ from .formula import (
     parse_statements,
     print_formula,
 )
-from .sat import entails, is_consistent, solve
+from .sat import solve
 from .variety import (
     Calculus,
     DepthCheckResult,
@@ -87,8 +87,8 @@ __all__ = [
     "PartitionGraph", "PartitionNode", "Position", "ProbeUniverse",
     "RenamingMap", "ResourceLimit", "Signature", "UnknownSymbol", "Variety",
     "apply_renaming", "atoms_of", "check_variety_depth", "discretize",
-    "entails", "evaluate", "ground", "in_reasonable_theory", "is_compatible",
-    "is_connected", "is_consistent", "is_consistent_context", "is_discrete",
+    "evaluate", "ground", "in_reasonable_theory", "is_compatible",
+    "is_connected", "is_consistent_context", "is_discrete",
     "is_ground", "justifications", "maximal_consistent_contexts",
     "maximal_positions", "new_domain", "overlap_dot", "parse_formula",
     "parse_statements", "partition_dot", "partition_graph", "print_formula",

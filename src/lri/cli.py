@@ -32,11 +32,11 @@ from .engine import (
     justifications,
     maximal_consistent_contexts,
     maximal_positions,
+    minimal_inconsistent_subset,
     reasonably_infers,
 )
 from .errors import InconsistentAxioms, LriError, ResourceLimit
 from .formula import Formula, Signature, print_formula
-from .sat import minimal_inconsistent_subset
 from .variety import (
     ProbeUniverse,
     is_compatible,
@@ -509,7 +509,7 @@ class ReplSession:
         rest = rest.strip()
         try:
             return self._dispatch(word, rest)
-        except (LriError, ValueError) as err:
+        except (LriError, OSError, ValueError) as err:
             return _error_doc(word, {"text": rest}, _as_lri_error(err))
 
     def _dispatch(self, word: str, rest: str) -> Optional[dict]:
@@ -777,31 +777,36 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     Formulas routinely start with the negation sign, which argparse would
     otherwise reject as an unknown option.  Everything after the separator
     is positional, so option flags must come before any negated formula.
-    Known options are those of the verb table, plus argparse's own help.
+    Known options are the verb's own and the common ones in the verb table,
+    plus argparse's own help; as in argparse, a long option may be written
+    as any prefix that names only one of them.
     """
-    declared = [a for verb in _VERBS.values() for a in verb.arguments]
+    out = list(argv)
+    verb = _VERBS.get(next((t for t in out if not t.startswith("-")), ""))
     options = [
-        (name, kw) for name, kw in [*_COMMON_OPTIONS, *declared]
+        (name, kw)
+        for name, kw in [*_COMMON_OPTIONS, *(verb.arguments if verb else ())]
         if name.startswith("-")
     ]
     flags = {"-h", "--help"}
     flags.update(name for name, kw in options if kw.get("action") == "store_true")
     valued = {name for name, _ in options} - flags
-    out = list(argv)
+    known = flags | valued
     i = 0
     while i < len(out):
         token = out[i]
         if token == "--":
             break
         if token.startswith("-"):
-            if token in flags:
+            name, value, _ = token.partition("=")
+            if name not in known and name.startswith("--"):
+                named = [o for o in known if o.startswith(name)]
+                name = named[0] if len(named) == 1 else name
+            if name in flags and not value:
                 i += 1
                 continue
-            if token in valued:
-                i += 2
-                continue
-            if any(token.startswith(opt + "=") for opt in valued):
-                i += 1
+            if name in valued:
+                i += 1 if value else 2
                 continue
             out.insert(i, "--")
             break

@@ -588,3 +588,38 @@ def maximal_consistent_contexts(
             )
             contexts.append(Context(pairs))
     return contexts
+
+
+# ---------------------------------------------------------------------------
+# Conflict cores
+# ---------------------------------------------------------------------------
+
+
+def minimal_inconsistent_subset(
+    formulas: Sequence[Formula],
+    signature: Signature,
+    max_decisions: Optional[int] = None,
+) -> list[Formula]:
+    """Shrink an inconsistent list to a subset-minimal inconsistent core.
+
+    Deletion based: drop each member in turn and keep the removal whenever
+    the rest stays inconsistent.  Which core comes out depends on input
+    order, which is deterministic, not on any global minimality criterion.
+    The distinct formulas are the hypotheses of one axiom-free domain, and
+    each list position stands for its formula's index there, so a repeated
+    formula is dropped like any other member.
+    """
+    distinct = tuple(dict.fromkeys(formulas))
+    domain = DomainOfRules((), distinct, signature, max_decisions)
+    index = {f: i for i, f in enumerate(distinct)}
+    core = [index[f] for f in formulas]
+    if domain.consistent(frozenset(core)):
+        raise ValueError("formulas are consistent; there is no core to find")
+    i = 0
+    while i < len(core):
+        candidate = core[:i] + core[i + 1 :]
+        if not domain.consistent(frozenset(candidate)):
+            core = candidate
+        else:
+            i += 1
+    return [distinct[j] for j in core]

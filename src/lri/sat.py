@@ -1,10 +1,14 @@
 """Satisfiability core: deterministic backtracking search.
 
-`solve` is the one decision procedure behind every consistency and entailment
-question in the package.  Its search order is pinned down so that results,
-including reported models, are reproducible: branch on the unassigned atom
-with the lowest registry index, try False before True, and propagate unit
-clauses exhaustively between decisions.  There is deliberately no
+`solve` is the raw clause-set entry point: it decides one clause set and
+knows nothing of formulas.  Every consistency and entailment question in the
+package is asked of a domain of rules (`engine.DomainOfRules`), which builds
+the clause sets for the islands a question touches and is the only caller.
+
+The search order is pinned down so that results, including reported models,
+are reproducible: branch on the unassigned atom with the lowest registry
+index, try False before True, and propagate unit clauses exhaustively
+between decisions.  There is deliberately no
 pure-literal rule and no learned-clause machinery; at the problem sizes this
 package targets, a predictable search beats a clever one.
 
@@ -20,11 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .cnf import ClauseSet, clausify
+from .cnf import ClauseSet
 from .errors import ResourceLimit
-from .formula import Atom, Formula, Not, Signature
+from .formula import Atom
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -161,48 +165,3 @@ def solve(
                     f"satisfiability search exceeded {cap} decisions"
                 )
             ok = propagate(deque([frame[0]]))
-
-
-def is_consistent(
-    formulas: Sequence[Formula],
-    signature: Signature,
-    max_decisions: Optional[int] = None,
-) -> bool:
-    """Whether the formulas are jointly satisfiable (vacuously true if empty)."""
-    return solve(clausify(list(formulas), signature), max_decisions).satisfiable
-
-
-def entails(
-    premises: Sequence[Formula],
-    conclusion: Formula,
-    signature: Signature,
-    max_decisions: Optional[int] = None,
-) -> bool:
-    """Classical entailment, decided by refuting premises + negated conclusion."""
-    formulas = list(premises) + [Not(conclusion)]
-    return not solve(clausify(formulas, signature), max_decisions).satisfiable
-
-
-def minimal_inconsistent_subset(
-    formulas: Sequence[Formula],
-    signature: Signature,
-    max_decisions: Optional[int] = None,
-) -> list[Formula]:
-    """Shrink an inconsistent list to a subset-minimal inconsistent core.
-
-    Deletion based: drop each member in turn and keep the removal whenever
-    the rest stays inconsistent.  Which core comes out depends on input
-    order, which is deterministic, not on any global minimality criterion.
-    """
-    core = list(formulas)
-    if is_consistent(core, signature, max_decisions):
-        raise ValueError("formulas are consistent; there is no core to find")
-    i = 0
-    while i < len(core):
-        candidate = core[:i] + core[i + 1 :]
-        if not is_consistent(candidate, signature, max_decisions):
-            core = candidate
-        else:
-            i += 1
-    return core
-

@@ -1,13 +1,20 @@
 """Calculi, varieties of components, and their structural algebra.
 
-A calculus is a finite axiom set under a named ruleset; its theorems are
-never materialized, membership being decided by classical entailment on
-demand.  A variety indexes several calculi as components, optionally
-renaming each component's symbols into the shared language, and the
-operations here ask structural questions about the family: whether
-components overlap (connectedness), whether they fit inside one consistent
-calculus together (compatibility), and what changes when components are kept
-apart by labeling (discretization).
+A calculus is a finite axiom set; its theorems are never materialized,
+membership being decided by classical entailment on demand.  A variety
+indexes several calculi as components, optionally renaming each component's
+symbols into the shared language, and the operations here ask structural
+questions about the family: whether components overlap (connectedness),
+whether they fit inside one consistent calculus together (compatibility),
+and what changes when components are kept apart by labeling
+(discretization).
+
+Every such question is a consistency or entailment question about the
+components' axiom sets, so a variety keeps one axiom-free domain of rules
+whose hypotheses are the distinct component formulas, and each component is
+a selection of them.  Upper levels, compatibility and depth are then asked
+of that domain, island by island, with its consistency memo and one
+decision budget per question.
 
 Theorem sets are infinite, so theorem-level comparisons are relativized to a
 finite probe universe of ground formulas.  Discretization labels are
@@ -27,7 +34,6 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
-from . import sat
 from .engine import DomainOfRules, maximal_positions
 from .errors import IncompleteRenaming
 from .formula import (
@@ -42,29 +48,20 @@ from .formula import (
     print_formula,
 )
 
-RULESET_CLASSICAL = "CLASSICAL"
-
 Label = Optional[Hashable]
 
 
 class Calculus:
-    """A finite axiom set with a ruleset identifier and a lazy theorem set.
+    """A finite axiom set of classical propositional logic and its lazy
+    theorem set.
 
-    Only the classical propositional ruleset is implemented; theorem
-    membership is `theorem_in`, which routes through the satisfiability
-    engine.  Equality compares the axiom set and the ruleset, ignoring the
-    signature, so structurally equal calculi over the same language compare
-    equal no matter where they were built.
+    Theorem membership is `theorem_in`, decided by classical entailment.
+    Equality compares the axiom sets, ignoring the signature, so
+    structurally equal calculi over the same language compare equal no
+    matter where they were built.
     """
 
-    def __init__(
-        self,
-        axioms: Iterable[Formula],
-        signature: Signature,
-        ruleset: str = RULESET_CLASSICAL,
-    ) -> None:
-        if ruleset != RULESET_CLASSICAL:
-            raise ValueError(f"unsupported ruleset: {ruleset!r}")
+    def __init__(self, axioms: Iterable[Formula], signature: Signature) -> None:
         self.axioms = tuple(dict.fromkeys(axioms))
         for f in self.axioms:
             if not is_ground(f):
@@ -73,7 +70,6 @@ class Calculus:
                 )
             signature.register_formula(f)
         self.signature = signature
-        self.ruleset = ruleset
 
     @property
     def axiom_set(self) -> frozenset[Formula]:
@@ -82,15 +78,13 @@ class Calculus:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Calculus):
             return NotImplemented
-        return (
-            self.axiom_set == other.axiom_set and self.ruleset == other.ruleset
-        )
+        return self.axiom_set == other.axiom_set
 
     def __hash__(self) -> int:
-        return hash((self.axiom_set, self.ruleset))
+        return hash(self.axiom_set)
 
     def __repr__(self) -> str:
-        return f"Calculus({len(self.axioms)} axioms, {self.ruleset})"
+        return f"Calculus({len(self.axioms)} axioms)"
 
 
 def theorem_in(
@@ -99,7 +93,7 @@ def theorem_in(
     """Whether phi belongs to the calculus's theorem set."""
     if not is_ground(phi):
         raise ValueError(f"not ground: {print_formula(phi)}")
-    return sat.entails(c.axioms, phi, c.signature, max_decisions)
+    return bool(upper_level(Variety([c], c.signature), [phi], max_decisions))
 
 
 class RenamingMap:
@@ -169,9 +163,7 @@ def apply_renaming(m: RenamingMap, c: Calculus) -> Calculus:
     renamed theorems of the renamed calculus are exactly the renamed
     theorems of the original.
     """
-    return Calculus(
-        [m.rename_formula(f) for f in c.axioms], c.signature, c.ruleset
-    )
+    return Calculus([m.rename_formula(f) for f in c.axioms], c.signature)
 
 
 class ProbeUniverse:
@@ -226,6 +218,11 @@ class Variety:
     component's formulas are already in the shared language) and an optional
     discretization label.  Renamed axiom tuples are computed eagerly, so an
     incomplete renaming fails at construction time, not at first query.
+
+    The distinct renamed formulas, in first-occurrence order, are the
+    hypotheses of one axiom-free domain of rules, which registers and checks
+    them in the signature; each component is kept as the selection of its
+    formulas' indices there, and every question below asks that domain.
     """
 
     def __init__(
@@ -246,17 +243,18 @@ class Variety:
         if len(self.labels) != n:
             raise ValueError("one label entry per component required")
         self.signature = signature
-        renamed = []
-        for calculus, mapping in zip(self.components, self.maps):
-            if mapping is None:
-                renamed.append(calculus.axioms)
-            else:
-                renamed.append(
-                    tuple(mapping.rename_formula(f) for f in calculus.axioms)
-                )
-            for f in renamed[-1]:
-                signature.register_formula(f)
-        self._renamed = tuple(renamed)
+        self._renamed = tuple(
+            calculus.axioms if mapping is None
+            else tuple(mapping.rename_formula(f) for f in calculus.axioms)
+            for calculus, mapping in zip(self.components, self.maps)
+        )
+        self._domain = DomainOfRules(
+            (), dict.fromkeys(f for r in self._renamed for f in r), signature
+        )
+        index = {f: i for i, f in enumerate(self._domain.hypotheses)}
+        self._selections = tuple(
+            frozenset(index[f] for f in r) for r in self._renamed
+        )
 
     def __len__(self) -> int:
         return len(self.components)
@@ -286,6 +284,11 @@ class Variety:
                 raise IndexError(f"component index out of range: {i}")
         return indices
 
+    def _asking(self, max_decisions: Optional[int]) -> DomainOfRules:
+        """The variety's domain, spending max_decisions on each question."""
+        self._domain.max_decisions = max_decisions
+        return self._domain
+
 
 def variety_of(domain: DomainOfRules) -> Variety:
     """The variety whose components close the domain's maximal positions.
@@ -309,14 +312,11 @@ def upper_level(
     Labels never matter here: theorems are decided on plain formulas.  The
     result keeps the probe's order, making aggregation deterministic.
     """
-    out = []
-    for phi in _probe_formulas(probe):
-        if any(
-            sat.entails(v.renamed_axioms(i), phi, v.signature, max_decisions)
-            for i in range(len(v))
-        ):
-            out.append(phi)
-    return tuple(out)
+    domain = v._asking(max_decisions)
+    return tuple(
+        phi for phi in _probe_formulas(probe)
+        if any(domain.selection_entails(s, phi) for s in v._selections)
+    )
 
 
 def is_discrete(v: Variety) -> bool:
@@ -354,10 +354,8 @@ def is_compatible(
     every selected component, and an inconsistent union embeds in none.
     """
     indices = v.check_indices(subset)
-    union = tuple(
-        dict.fromkeys(f for i in sorted(indices) for f in v.renamed_axioms(i))
-    )
-    return sat.is_consistent(union, v.signature, max_decisions)
+    union = frozenset().union(*(v._selections[i] for i in indices))
+    return v._asking(max_decisions).consistent(union)
 
 
 def discretize(v: Variety) -> Variety:
@@ -406,33 +404,26 @@ def check_variety_depth(
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
     formulas = _probe_formulas(probe)
-    axiom_sets = [v.axiom_set(i) for i in range(n)]
+    domain = v._asking(max_decisions)
     probed = [
         frozenset(
-            phi
-            for phi in formulas
-            if sat.entails(v.renamed_axioms(i), phi, v.signature, max_decisions)
+            phi for phi in formulas if domain.selection_entails(selection, phi)
         )
-        for i in range(n)
+        for selection in v._selections
     ]
-    entail_memo: dict[tuple[frozenset[Formula], Formula], bool] = {}
+    entail_memo: dict[tuple[frozenset[int], Formula], bool] = {}
     for combo in itertools.combinations(range(n), k):
-        shared_axioms = frozenset.intersection(
-            *(axiom_sets[i] for i in combo)
-        )
+        candidate = frozenset.intersection(*(v._selections[i] for i in combo))
         shared_theorems = [
             phi for phi in formulas if all(phi in probed[i] for i in combo)
         ]
-        if not shared_axioms and not shared_theorems:
+        if not candidate and not shared_theorems:
             continue
-        candidate = sorted(shared_axioms, key=print_formula)
         for phi in shared_theorems:
-            key = (shared_axioms, phi)
+            key = (candidate, phi)
             verdict = entail_memo.get(key)
             if verdict is None:
-                verdict = sat.entails(
-                    candidate, phi, v.signature, max_decisions
-                )
+                verdict = domain.selection_entails(candidate, phi)
                 entail_memo[key] = verdict
             if not verdict:
                 return DepthCheckResult(False, combo, phi)
@@ -446,8 +437,8 @@ def witness_variety(n: int) -> Variety:
     component leaves the excluded p_j free to be false, so every
     (n-1)-subset is compatible; all n components together force every p_i
     true against the shared negation, so the whole family is not.  The
-    certification leans on the classical ruleset: compatibility is decided
-    by classical consistency of the union.
+    certification leans on classical logic: compatibility is decided by
+    classical consistency of the union.
     """
     if n < 2:
         raise ValueError(f"need at least 2 components, got {n}")

@@ -1,5 +1,6 @@
 """Command line surface: documents, exit codes, and the interactive session."""
 
+import io
 import json
 import subprocess
 import sys
@@ -302,6 +303,19 @@ def test_decision_budget_exit_4(capsys, tmp_path):
     assert doc["diagnostics"]["error"] == "ResourceLimit"
 
 
+@pytest.mark.parametrize("budget", [["--max", "5"], ["--max=5"]])
+def test_unique_option_prefix_names_the_option(capsys, permit_file, budget):
+    # a prefix naming one option is that option, as argparse reads it, and
+    # the negated formula after it still gets its separator
+    code, doc, _ = run_json(capsys, "infer", *budget, permit_file, "-perm")
+    assert code == 0
+    assert doc["verdict"] == "reasonable"
+    full = run_json(
+        capsys, "infer", "--max-decisions", "5", permit_file, "-perm"
+    )
+    assert (code, doc) == full[:2]
+
+
 def test_multiple_groundings_exit_5(capsys, tmp_path):
     path = tmp_path / "pair.lri"
     path.write_text(
@@ -456,6 +470,20 @@ def test_repl_save_round_trips(tmp_path):
     assert [str(f) for f in again.hypotheses] == [
         str(f) for f in loads(PERMIT_TEXT).hypotheses
     ]
+
+
+def test_repl_unwritable_save_is_an_error_document(
+    capsys, monkeypatch, permit_file, tmp_path
+):
+    target = tmp_path / "missing" / "x.lri"
+    script = io.StringIO(f"save {target}\npositions\n")
+    monkeypatch.setattr(sys, "stdin", script)
+    code, out, _ = run_cli(capsys, "repl", permit_file)
+    assert code == 0
+    docs = json.loads("[" + out.replace("}\n{", "},\n{") + "]")
+    assert [d["command"] for d in docs] == ["save", "positions"]
+    assert docs[0]["diagnostics"]["error"] == "InputError"
+    assert docs[1]["verdict"] == {"count": 3}
 
 
 def test_repl_subprocess_session(permit_file):

@@ -6,17 +6,16 @@ import pytest
 
 from lri import (
     Atom,
+    DomainOfRules,
     ResourceLimit,
     Signature,
     atoms_of,
-    entails,
     evaluate,
-    is_consistent,
     parse_formula,
     solve,
 )
 from lri.cnf import clausify
-from lri.sat import minimal_inconsistent_subset
+from lri.engine import minimal_inconsistent_subset
 
 from bruteforce import TableOracle, make_atoms, random_formula
 
@@ -24,6 +23,22 @@ from bruteforce import TableOracle, make_atoms, random_formula
 def _clauses(texts, sig=None):
     sig = sig or Signature()
     return clausify([parse_formula(t, sig) for t in texts], sig)
+
+
+def _premises(formulas, sig):
+    """An axiom-free domain over the formulas, and the selection of all."""
+    domain = DomainOfRules((), dict.fromkeys(formulas), sig)
+    return domain, frozenset(range(len(domain.hypotheses)))
+
+
+def is_consistent(formulas, sig):
+    domain, everything = _premises(formulas, sig)
+    return domain.consistent(everything)
+
+
+def entails(premises, conclusion, sig):
+    domain, everything = _premises(premises, sig)
+    return domain.selection_entails(everything, conclusion)
 
 
 def test_empty_clause_set_satisfiable():

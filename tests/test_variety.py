@@ -48,12 +48,6 @@ def test_calculus_deduplicates_axioms():
     assert [print_formula(f) for f in c.axioms] == ["p", "q"]
 
 
-def test_calculus_rejects_unknown_ruleset():
-    sig = Signature()
-    with pytest.raises(ValueError):
-        Calculus([parse_formula("p", sig)], sig, ruleset="RELEVANT")
-
-
 def test_calculus_rejects_open_formulas():
     sig = Signature(constants=("a",))
     with pytest.raises(ValueError):
