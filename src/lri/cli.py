@@ -16,11 +16,17 @@ The interactive session (`repl`) reads one command per line, mutating
 commands rebuild the rule base and echo the recomputed hypothesis indices,
 and query commands produce exactly the document their batch counterpart
 would; user errors never abort the session.
+
+The argument parser is built on the first `main` call, not at import, and
+shared by every later `main` call in the process.  Parsing leaves it
+unchanged, and argparse reads the terminal width and the output streams
+afresh each time it writes help, usage or an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence, TextIO
@@ -750,6 +756,7 @@ _VERBS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for name, options in _COMMON_OPTIONS:

@@ -220,7 +220,11 @@ class DomainOfRules:
     def _island_consistent(
         self, number: int, part: frozenset[int], budget: _Budget
     ) -> bool:
-        """Whether the island's axioms and the hypotheses in part are satisfiable."""
+        """Whether the island's axioms and the hypotheses in part are satisfiable.
+
+        Nothing asserted (an island without axioms, asked of no hypotheses)
+        is satisfiable without a search.
+        """
         key = (number, part)
         known = self._consistency.get(key)
         if known is None:
@@ -230,7 +234,9 @@ class DomainOfRules:
             else:
                 tops = list(island.axiom_tops)
                 tops += [self._hyp_tops[i] for i in sorted(part)]
-                known = budget.satisfiable(self._builder.clause_set(tops))
+                known = not tops or budget.satisfiable(
+                    self._builder.clause_set(tops)
+                )
             self._consistency[key] = known
         return known
 

@@ -56,9 +56,11 @@ class Calculus:
     theorem set.
 
     Theorem membership is `theorem_in`, decided by classical entailment.
-    Equality compares the axiom sets, ignoring the signature, so
-    structurally equal calculi over the same language compare equal no
-    matter where they were built.
+    Construction leaves the signature alone: a variety holding the calculus
+    checks and registers the atoms of its (renamed) axioms there.  Equality
+    compares the axiom sets, ignoring the signature, so structurally equal
+    calculi over the same language compare equal no matter where they were
+    built.
     """
 
     def __init__(self, axioms: Iterable[Formula], signature: Signature) -> None:
@@ -68,7 +70,6 @@ class Calculus:
                 raise ValueError(
                     f"calculus axiom contains variables: {print_formula(f)}"
                 )
-            signature.register_formula(f)
         self.signature = signature
 
     @property

@@ -1,5 +1,6 @@
 """Command line surface: documents, exit codes, and the interactive session."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -338,6 +339,92 @@ def test_witness_needs_two_components(capsys):
     code, doc, _ = run_json(capsys, "witness", "1")
     assert code == 2
     assert doc["diagnostics"]["error"] == "InputError"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_later_commands_build_no_parser(capsys, monkeypatch, permit_file):
+    run_json(capsys, "check", permit_file)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run_json(capsys, "positions", permit_file)
+    run_json(capsys, "compat", permit_file, "0")
+    assert built == []
+
+
+def test_parser_is_built_on_first_use_only():
+    script = """\
+import argparse
+import io
+import json
+import sys
+
+built = []
+real_init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    real_init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+import lri.cli
+counts = [len(built)]
+sys.stdout = sys.stderr = io.StringIO()
+for _ in range(2):
+    lri.cli.main(["witness", "2"])
+    counts.append(len(built))
+sys.__stdout__.write(json.dumps(counts))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    on_import, first, second = json.loads(proc.stdout)
+    assert on_import == 0
+    assert first > 0
+    assert second == first
+
+
+def _help_texts(capsys, monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    texts = []
+    for argv in (["--help"], ["context", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        texts.append(capsys.readouterr().out)
+    return texts
+
+
+def test_help_follows_the_current_terminal_width(capsys, monkeypatch):
+    wide = _help_texts(capsys, monkeypatch, 80)
+    narrow = _help_texts(capsys, monkeypatch, 50)
+    assert _help_texts(capsys, monkeypatch, 80) == wide
+    for wide_text, narrow_text in zip(wide, narrow):
+        # the same words, wrapped onto more lines
+        assert narrow_text.split() == wide_text.split()
+        assert len(narrow_text.splitlines()) > len(wide_text.splitlines())
+
+
+def test_usage_error_leaves_the_parser_usable(capsys, permit_file):
+    expected = run_cli(capsys, "compat", permit_file, "0", "1")
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["compat", permit_file, "x"])
+    assert stop.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert run_cli(capsys, "compat", permit_file, "0", "1") == expected
+    assert json.loads(expected[1])["input"] == {"indices": [0, 1]}
 
 
 # ---------------------------------------------------------------------------

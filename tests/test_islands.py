@@ -162,6 +162,21 @@ def test_budget_is_summed_over_islands():
         new_domain(hypotheses, [], max_decisions=1)
 
 
+def test_islands_without_axioms_need_no_search_at_construction(monkeypatch):
+    calls: list[int] = []
+    real_solve = lri.engine.sat.solve
+
+    def counting_solve(clause_set, max_decisions=None):
+        calls.append(len(clause_set.clauses))
+        return real_solve(clause_set, max_decisions)
+
+    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
+    p, q, r, s = (Atom(name) for name in "pqrs")
+    domain = new_domain((), [p, q, Or(r, s)])
+    assert calls == []
+    assert [sorted(m.chosen) for m in maximal_positions(domain)] == [[0, 1, 2]]
+
+
 def test_generated_multi_island_base_hits_small_budget():
     axioms, hypotheses, _, _ = _corpus(9)
     with pytest.raises(ResourceLimit, match="exceeded 3 decisions"):
