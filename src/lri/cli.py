@@ -12,10 +12,10 @@ library refused an argument (ValueError); 3 the axiom set itself is
 inconsistent; 4 the decision budget was exceeded; 5 a query
 formula grounds to more than one instance; 6 invalid component indices.
 
-The interactive session (`repl`) reads one command per line, mutating
-commands rebuild the rule base and echo the recomputed hypothesis indices,
-and query commands produce exactly the document their batch counterpart
-would; user errors never abort the session.
+The interactive session (`repl`) reads one command per line.  An edit
+replaces the rule base and echoes the recomputed hypothesis indices, the
+queries between edits share one domain, and each query produces exactly
+the document its batch counterpart would; user errors never end it.
 
 The argument parser is built on the first `main` call, not at import, and
 shared by every later `main` call in the process.  Parsing leaves it
@@ -26,6 +26,7 @@ afresh each time it writes help, usage or an error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -470,10 +471,11 @@ def cmd_repl(args) -> None:
 class ReplSession:
     """One interactive rule-base editing and querying session.
 
-    The session keeps the axiom list, hypothesis list, and query list as
-    plain mutable state; every mutation rebuilds the domain of rules from
-    scratch, recomputing hypothesis indices.  Refusals and user errors
-    produce error documents and leave the state untouched.
+    The session holds one knowledge base and the domain of rules built from
+    it by the first query or `save` that needs it.  An edit replaces the
+    base and drops the domain, but an accepted axiom keeps the one built to
+    check it.  Refusals and user errors produce error documents and leave
+    the session as it was.
     """
 
     def __init__(
@@ -485,25 +487,23 @@ class ReplSession:
         if base is None:
             base = kbmod.KnowledgeBase(Signature(), (), (), (), None)
         self._base = base
-        self._axioms = list(base.axioms)
-        self._hypotheses = list(base.hypotheses)
-        self._queries = list(base.queries)
+        self._domain: Optional[DomainOfRules] = None
         self._max_decisions = max_decisions
         self._pretty = pretty
 
-    def _view(self) -> kbmod.KnowledgeBase:
-        return kbmod.KnowledgeBase(
-            self._base.signature,
-            tuple(self._axioms),
-            tuple(self._hypotheses),
-            tuple(self._queries),
-            self._base.declared_constants,
-        )
+    def _built_domain(self) -> DomainOfRules:
+        if self._domain is None:
+            self._domain = self._base.domain(self._max_decisions)
+        return self._domain
+
+    def _replace_base(self, **fields) -> None:
+        self._base = dataclasses.replace(self._base, **fields)
+        self._domain = None
 
     def _hypothesis_listing(self) -> list[dict]:
         return [
             {"index": i, "formula": print_formula(f)}
-            for i, f in enumerate(self._hypotheses)
+            for i, f in enumerate(self._base.hypotheses)
         ]
 
     def handle(self, line: str) -> Optional[dict]:
@@ -531,33 +531,30 @@ class ReplSession:
         if verb.query is None:
             verb.require_operand(rest)
             return verb.edit(self, rest)
-        base = self._view()
-        domain = base.domain(self._max_decisions)
+        domain = self._built_domain()
         verb.require_operand(rest)
-        return verb.query(base, domain, *([rest] if verb.arguments else []))
+        return verb.query(self._base, domain, *([rest] if verb.arguments else []))
 
     def _assert_axiom(self, text: str) -> dict:
-        instances = self._view().parse_query(text)
-        candidate = list(self._axioms)
-        candidate.extend(f for f in instances if f not in candidate)
+        instances = self._base.parse_query(text)
+        axioms = list(self._base.axioms)
+        axioms.extend(f for f in instances if f not in axioms)
+        candidate = dataclasses.replace(self._base, axioms=tuple(axioms))
         try:
-            DomainOfRules(
-                candidate, self._hypotheses, self._base.signature,
-                self._max_decisions,
-            )
+            domain = candidate.domain(self._max_decisions)
         except InconsistentAxioms:
             conflict = minimal_inconsistent_subset(
-                candidate, self._base.signature, self._max_decisions
+                axioms, self._base.signature, self._max_decisions
             )
             verdict = {
                 "accepted": False,
                 "conflict": [print_formula(f) for f in conflict],
             }
         else:
-            self._axioms = candidate
+            self._base, self._domain = candidate, domain
             verdict = {
                 "accepted": True,
-                "axioms": [print_formula(f) for f in self._axioms],
+                "axioms": [print_formula(f) for f in axioms],
             }
         return _doc(
             "assert-ax",
@@ -566,45 +563,46 @@ class ReplSession:
         )
 
     def _assert_hypothesis(self, text: str) -> dict:
-        instances = self._view().parse_query(text)
+        instances = self._base.parse_query(text)
         formulas = {"formula": [print_formula(f) for f in instances]}
+        base = self._base
         for f in instances:
             for pool, role in (
-                (self._hypotheses, "a hypothesis"), (self._axioms, "an axiom")
+                (base.hypotheses, "a hypothesis"), (base.axioms, "an axiom")
             ):
                 if f in pool:
                     reason = f"already {role}: {print_formula(f)}"
                     verdict = {"accepted": False, "reason": reason}
                     return _doc("assert-hyp", formulas, verdict)
-        self._hypotheses.extend(instances)
+        self._replace_base(hypotheses=self._base.hypotheses + tuple(instances))
         verdict = {"accepted": True, "hypotheses": self._hypothesis_listing()}
         return _doc("assert-hyp", formulas, verdict)
 
     def _retract_hypothesis(self, text: str) -> dict:
+        hypotheses = self._base.hypotheses
         try:
             index = int(text)
         except ValueError:
             raise _InputError(f"retract-hyp needs an index, got {text!r}")
-        if not 0 <= index < len(self._hypotheses):
+        if not 0 <= index < len(hypotheses):
             raise _InputError(
                 f"no hypothesis with index {index}; "
-                f"valid range is 0..{len(self._hypotheses) - 1}"
-                if self._hypotheses
+                f"valid range is 0..{len(hypotheses) - 1}"
+                if hypotheses
                 else "no hypotheses to retract"
             )
-        removed = self._hypotheses.pop(index)
+        self._replace_base(hypotheses=hypotheses[:index] + hypotheses[index + 1 :])
         return _doc(
             "retract-hyp",
             {"index": index},
             {
-                "removed": print_formula(removed),
+                "removed": print_formula(hypotheses[index]),
                 "hypotheses": self._hypothesis_listing(),
             },
         )
 
     def _save(self, path: str) -> dict:
-        domain = self._view().domain(self._max_decisions)
-        kbmod.save(path, domain, tuple(self._queries))
+        kbmod.save(path, self._built_domain(), self._base.queries)
         return _doc("save", {"path": path}, {"path": path})
 
     def run(self, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> None:

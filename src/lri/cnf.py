@@ -9,8 +9,8 @@ negated subformula instead of spending a definition.
 Structurally equal subformulas share their defining atom within one builder,
 which is what makes incremental use cheap: a domain of rules adds every rule
 once and then asserts different subsets of their top literals per query.  A
-clause set carries only the definitions its asserted literals reach, so
-formulas added for one query never weigh on the next.
+clause set carries only the definitions its asserted literals reach, and a
+query's own definitions can be rolled back once it is answered.
 
 Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
 identifier character in the formula grammar, so no parsed input can collide
@@ -54,10 +54,10 @@ class CnfBuilder:
 
     `add` translates a formula and returns its top literal without asserting
     it; callers choose which top literals to turn into unit clauses when
-    assembling a ClauseSet.  Definitions accumulate across calls and are
-    shared between formulas with common subtrees; each is kept under the
-    defining variable it introduces, with the variables of its operands, so
-    a clause set can take just the ones its assertions depend on.
+    assembling a ClauseSet.  Definitions accumulate across calls (until a
+    `rollback`) and are shared between formulas with common subtrees; each
+    is kept under the defining variable it introduces, with the variables of
+    its operands, so a clause set can take just the ones it depends on.
     """
 
     def __init__(self, signature: Signature) -> None:
@@ -65,9 +65,8 @@ class CnfBuilder:
         self._defs: dict[int, tuple[Clause, ...]] = {}
         self._operands: dict[int, tuple[int, int]] = {}
         self._literal: dict[Formula, int] = {}
-        self._aux_vars: set[int] = set()
         self._atoms: dict[int, Atom] = {}
-        self._aux_count = 0
+        self._tables = (self._literal, self._defs, self._operands, self._atoms)
 
     def _var(self, atom: Atom) -> int:
         var = self._sig.index_of(atom) + 1
@@ -75,11 +74,21 @@ class CnfBuilder:
         return var
 
     def _fresh_aux(self) -> int:
-        atom = Atom(f"{AUX_PREFIX}{self._aux_count}")
-        self._aux_count += 1
-        var = self._var(atom)
-        self._aux_vars.add(var)
-        return var
+        return self._var(Atom(f"{AUX_PREFIX}{len(self._defs)}"))
+
+    def mark(self) -> tuple[int, ...]:
+        """The builder's current extent, for `rollback` to return to."""
+        return tuple(map(len, self._tables))
+
+    def rollback(self, mark: tuple[int, ...]) -> None:
+        """Forget every translation made since the mark was taken.
+
+        The tables keep insertion order, so the newer entries are the last
+        ones; defining atoms are numbered from the mark again.
+        """
+        for table, size in zip(self._tables, mark):
+            while len(table) > size:
+                table.popitem()
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""
@@ -150,7 +159,7 @@ class CnfBuilder:
         return ClauseSet(
             clauses=tuple(ordered),
             atoms={var: self._atoms[var] for var in reached},
-            aux=frozenset(reached & self._aux_vars),
+            aux=frozenset(reached & self._defs.keys()),
         )
 
 

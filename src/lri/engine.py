@@ -155,6 +155,8 @@ class DomainOfRules:
         tops = [self._builder.add(f) for f in rules]
         first_hyp = len(self.axioms)
         self._hyp_tops = tuple(tops[first_hyp:])
+        self._rules_only = self._builder.mark()
+        self._asked: Optional[Formula] = None
 
         rule_atoms = [atoms_of(f) for f in rules]
         self._islands: list[_Island] = []
@@ -280,7 +282,8 @@ class DomainOfRules:
         One search refutes the negated conclusion over the islands sharing
         its atoms.  When that search finds a counter-model, the rest of the
         selection, which shares no atom with it, entails the conclusion only
-        by being inconsistent.
+        by being inconsistent.  The clausifier keeps the definitions of the
+        latest conclusion asked only, so a long-lived domain keeps its size.
         """
         budget = _Budget(self.max_decisions)
         touched = self._islands_of(conclusion)
@@ -292,6 +295,9 @@ class DomainOfRules:
             self._hyp_tops[i] for i in sorted(chosen)
             if self._island_of_hyp[i] in touched
         ]
+        if conclusion != self._asked:
+            self._builder.rollback(self._rules_only)
+            self._asked = conclusion
         tops.append(-self._builder.add(conclusion))
         if not budget.satisfiable(self._builder.clause_set(tops)):
             return True

@@ -32,7 +32,7 @@ class FormulaSyntaxError(LriError):
 
 
 class UnknownSymbol(LriError):
-    """A predicate or constant is not declared in a closed signature."""
+    """A predicate or constant is used that was not declared."""
 
 
 class ArityMismatch(LriError):

@@ -215,30 +215,26 @@ def print_formula(formula: Formula) -> str:
 class Signature:
     """Declared predicates and constants, plus the ground-atom index registry.
 
-    A signature starts open: parsing text against it declares new predicates
-    (with the arity of their first use) and new constants on sight.  Once
-    `close()` has been called, unknown names raise UnknownSymbol instead.
-    Arities are checked either way.
+    Parsing text against a signature declares new predicates (with the
+    arity of their first use) and new constants on sight, and checks the
+    arities of known ones.
 
-    Indices for ground atoms are handed out densely in first-seen order and
-    never change afterwards.
+    Indices for ground atoms, clausifiers' defining atoms among them, are
+    handed out densely in first-seen order and never change afterwards.
     """
 
     def __init__(
         self,
         predicates: Iterable[tuple[str, int]] = (),
         constants: Iterable[str] = (),
-        closed: bool = False,
     ) -> None:
         self._arities: dict[str, int] = {}
         self._constants: list[str] = []
         self._constant_set: set[str] = set()
-        self.closed = False
         for name, arity in predicates:
             self.declare_predicate(name, arity)
         for name in constants:
             self.declare_constant(name)
-        self.closed = closed
         self._atom_index: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
 
@@ -253,8 +249,6 @@ class Signature:
                     f"used with arity {arity}"
                 )
             return
-        if self.closed:
-            raise UnknownSymbol(f"undeclared predicate '{name}'")
         if name in self._constant_set:
             raise FormulaSyntaxError(
                 f"name '{name}' is already a constant", 0
@@ -264,17 +258,12 @@ class Signature:
     def declare_constant(self, name: str) -> None:
         if name in self._constant_set:
             return
-        if self.closed:
-            raise UnknownSymbol(f"undeclared constant '{name}'")
         if name in self._arities:
             raise FormulaSyntaxError(
                 f"name '{name}' is already a predicate", 0
             )
         self._constants.append(name)
         self._constant_set.add(name)
-
-    def close(self) -> None:
-        self.closed = True
 
     # -- lookups ------------------------------------------------------------
 
@@ -297,7 +286,7 @@ class Signature:
             raise UnknownSymbol(f"undeclared predicate '{name}'") from None
 
     def check_atom(self, atom: Atom) -> None:
-        """Validate an atom against the declarations, declaring if open."""
+        """Validate an atom against the declarations, declaring new names."""
         self.declare_predicate(atom.predicate, len(atom.args))
         for arg in atom.args:
             if not is_variable(arg):

@@ -46,7 +46,7 @@ _HEADER_RE = re.compile(
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnowledgeBase:
     """A loaded knowledge base: ground rules plus the signature they live in."""
 

@@ -92,8 +92,6 @@ def theorem_in(
     c: Calculus, phi: Formula, max_decisions: Optional[int] = None
 ) -> bool:
     """Whether phi belongs to the calculus's theorem set."""
-    if not is_ground(phi):
-        raise ValueError(f"not ground: {print_formula(phi)}")
     return bool(upper_level(Variety([c], c.signature), [phi], max_decisions))
 
 

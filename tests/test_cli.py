@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lri import cli
+from lri import cli, engine
 from lri.cli import ReplSession
 from lri.kb import loads
 
@@ -571,6 +571,78 @@ def test_repl_unwritable_save_is_an_error_document(
     assert [d["command"] for d in docs] == ["save", "positions"]
     assert docs[0]["diagnostics"]["error"] == "InputError"
     assert docs[1]["verdict"] == {"count": 3}
+
+
+# ---------------------------------------------------------------------------
+# one domain per session between edits
+
+
+@pytest.fixture()
+def counts(monkeypatch):
+    """Domain builds and SAT searches made from here on."""
+    counts = {"builds": 0, "solves": 0}
+    real_init, real_solve = engine.DomainOfRules.__init__, engine.sat.solve
+
+    def counting_init(self, *args, **kwargs):
+        counts["builds"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(engine.DomainOfRules, "__init__", counting_init)
+    monkeypatch.setattr(engine.sat, "solve", counting_solve)
+    return counts
+
+
+def _spent(counts, session, line):
+    before = dict(counts)
+    doc = session.handle(line)
+    return doc, {key: counts[key] - before[key] for key in counts}
+
+
+def test_repl_repeated_query_reuses_the_domain(counts, tmp_path):
+    session = _session()
+    first, spent_first = _spent(counts, session, "infer perm")
+    again, spent_again = _spent(counts, session, "infer perm")
+    assert again == first
+    assert (spent_first["builds"], spent_again["builds"]) == (1, 0)
+    # entailment has no memo, but consistency and positions do
+    assert 0 < spent_again["solves"] < spent_first["solves"]
+    assert _spent(counts, session, "positions")[1] == {"builds": 0, "solves": 0}
+    _, spent = _spent(counts, session, f"save {tmp_path / 'out.lri'}")
+    assert spent["builds"] == 0
+
+
+def test_repl_accepted_axiom_keeps_its_domain(counts):
+    session = _session()
+    assert session.handle("assert-ax -ex")["verdict"]["accepted"] is True
+    doc, spent = _spent(counts, session, "positions")
+    assert spent["builds"] == 0
+    assert doc["diagnostics"] == {"axiom_count": 2, "hypothesis_count": 3}
+
+
+@pytest.mark.parametrize(
+    "edit", ["assert-hyp -act -> -perm", "retract-hyp 2", "assert-ax -ex"]
+)
+def test_repl_edit_drops_the_answers_before_it(edit):
+    kept = _session()
+    for query in ("infer -perm", "positions"):
+        kept.handle(query)
+    assert kept.handle(edit)["verdict"] != "error"
+    fresh = _session()
+    fresh.handle(edit)
+    for query in ("infer -perm", "positions", "justify perm", "context"):
+        assert kept.handle(query) == fresh.handle(query)
+
+
+def test_repl_failed_domain_build_is_not_kept(counts):
+    session = _session("axioms:\n    p.\n    -p.\nhypotheses:\n    q.\n")
+    first, second = session.handle("infer q"), session.handle("infer q")
+    assert first == second
+    assert first["diagnostics"]["error"] == "InconsistentAxioms"
+    assert counts["builds"] == 2
 
 
 def test_repl_subprocess_session(permit_file):

@@ -91,6 +91,24 @@ def test_clause_sets_deterministic():
     assert build().clauses == build().clauses
 
 
+def test_rollback_forgets_later_translations():
+    sig = Signature()
+    builder = CnfBuilder(sig)
+    kept = builder.add(parse_formula("p & q", sig))
+    mark = builder.mark()
+    later = parse_formula("(p | r) -> (p & q)", sig)
+    first = builder.clause_set([kept, builder.add(later)])
+    builder.rollback(mark)
+    assert builder.mark() == mark
+    assert builder.clause_set([kept]).atoms.keys() == {1, 2, 3}
+    # the defining atoms are numbered from the mark again
+    again = builder.clause_set([kept, builder.add(later)])
+    assert again == first and again.atoms == first.atoms
+    assert sig.registered_atoms() == tuple(
+        Atom(name) for name in ("p", "q", "$0", "r", "$1", "$2")
+    )
+
+
 def test_random_equisatisfiability_small():
     rng = random.Random(202)
     atoms = make_atoms(4)

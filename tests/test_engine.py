@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lri import (
+    Atom,
     AxiomHypothesisOverlap,
     Context,
     DuplicateHypothesis,
@@ -24,7 +25,7 @@ from lri import (
     reasonably_infers,
 )
 
-from bruteforce import DomainOracle, random_domain
+from bruteforce import DomainOracle, random_domain, random_formula
 from conftest import build_domain
 
 
@@ -211,6 +212,34 @@ def test_context_duplicate_queries_rejected(permit_domain):
     perm = parse_formula("perm", permit_domain.signature)
     with pytest.raises(ValueError):
         maximal_consistent_contexts(permit_domain, [perm, perm])
+
+
+def test_a_long_lived_domain_keeps_its_size(permit_domain):
+    """A domain keeps the clause definitions of its latest question only.
+
+    After each question it holds as many definitions as a new domain asked
+    that question alone, and its signature has registered one defining atom
+    per definition of the largest question so far: names are reused.
+    """
+    registered = permit_domain.signature.registered_atoms
+    built = len(registered())
+    atoms = [Atom(name) for name in ("act", "perm", "ex")]
+    rng = random.Random(8)
+    asked: set = set()
+    largest = 0
+    while len(asked) < 1000:
+        phi = random_formula(rng, atoms, depth=5)
+        if phi in asked:
+            continue
+        asked.add(phi)
+        reasonably_infers(permit_domain, phi)
+        alone = new_domain(permit_domain.axioms, permit_domain.hypotheses)
+        rules = len(alone._builder._defs)
+        reasonably_infers(alone, phi)
+        own = len(alone._builder._defs) - rules
+        assert len(permit_domain._builder._defs) == rules + own
+        largest = max(largest, own)
+        assert len(registered()) == built + largest
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from lri import (
     Not,
     Or,
     Signature,
-    UnknownSymbol,
     atoms_of,
     evaluate,
     ground,
@@ -107,16 +106,6 @@ def test_unlexable_character_is_positioned():
     with pytest.raises(FormulaSyntaxError) as info:
         parse_formula("p ? q", Signature())
     assert info.value.position == 2
-
-
-def test_closed_signature_rejects_unknown_symbols():
-    sig = Signature(predicates=[("p", 0), ("holds", 1)], constants=["a"],
-                    closed=True)
-    assert parse_formula("p & holds(a)", sig)
-    with pytest.raises(UnknownSymbol):
-        parse_formula("q", sig)
-    with pytest.raises(UnknownSymbol):
-        parse_formula("holds(b)", sig)
 
 
 def test_open_signature_declares_on_sight():

@@ -72,6 +72,12 @@ def test_theorem_membership():
     assert theorem_in(c, parse_formula("r | -r", sig))
 
 
+def test_theorem_membership_refuses_open_formulas():
+    c, sig = _calc(["p", "p -> q"])
+    with pytest.raises(ValueError, match="probe formula not ground: holds\\(X\\)"):
+        theorem_in(c, parse_formula("holds(X)", sig))
+
+
 # ---------------------------------------------------------------------------
 # renaming
 
