@@ -1,6 +1,6 @@
 """Clause-form translation for the satisfiability engine.
 
-Ground formulas become clause sets by introducing one defining atom per
+Ground formulas become clauses by introducing one defining atom per
 non-literal subformula, so the translation grows linearly with formula size
 and the result is equisatisfiable with (and, over the source atoms,
 model-equivalent to) the input set.  Negations fold onto the literal of the
@@ -8,9 +8,12 @@ negated subformula instead of spending a definition.
 
 Structurally equal subformulas share their defining atom within one builder,
 which is what makes incremental use cheap: a domain of rules adds every rule
-once and then asserts different subsets of their top literals per query.  A
-clause set carries only the definitions its asserted literals reach, and a
-query's own definitions can be rolled back once it is answered.
+once and then asserts different subsets of their top literals per query.
+Each definition's clauses go into the builder's `sat.ClauseStore` once, when
+the definition is made.  A search under assumptions (`problem`) activates
+only the definitions its literals reach, its cone, and a query's own
+definitions can be rolled back once it is answered.  `clause_set` lists the
+same clauses as one immutable set, for `check --dimacs` and for tests.
 
 Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
 identifier character in the formula grammar, so no parsed input can collide
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Signature
+from .sat import ClauseStore, Problem
 
 AUX_PREFIX = "$"
 
@@ -53,20 +57,24 @@ class CnfBuilder:
     """Incremental clausifier over one signature.
 
     `add` translates a formula and returns its top literal without asserting
-    it; callers choose which top literals to turn into unit clauses when
-    assembling a ClauseSet.  Definitions accumulate across calls (until a
-    `rollback`) and are shared between formulas with common subtrees; each
-    is kept under the defining variable it introduces, with the variables of
-    its operands, so a clause set can take just the ones it depends on.
+    it; callers choose which top literals to assume in a search.
+    Definitions accumulate across calls (until a `rollback`) and are shared
+    between formulas with common subtrees.  Each is kept under the defining
+    variable it introduces, as the numbers of its clauses in `store` and the
+    variables of its operands, so a search can take just the ones it
+    depends on.  A variable's cone, the clauses of every definition it
+    reaches, is computed the first time a search assumes it.
     """
 
     def __init__(self, signature: Signature) -> None:
         self._sig = signature
-        self._defs: dict[int, tuple[Clause, ...]] = {}
+        self.store = ClauseStore()
+        self._defs: dict[int, range] = {}
         self._operands: dict[int, tuple[int, int]] = {}
         self._literal: dict[Formula, int] = {}
         self._atoms: dict[int, Atom] = {}
         self._tables = (self._literal, self._defs, self._operands, self._atoms)
+        self._cones: dict[int, tuple[int, ...]] = {}
 
     def _var(self, atom: Atom) -> int:
         var = self._sig.index_of(atom) + 1
@@ -78,17 +86,22 @@ class CnfBuilder:
 
     def mark(self) -> tuple[int, ...]:
         """The builder's current extent, for `rollback` to return to."""
-        return tuple(map(len, self._tables))
+        return (*map(len, self._tables), len(self.store.clauses))
 
     def rollback(self, mark: tuple[int, ...]) -> None:
         """Forget every translation made since the mark was taken.
 
         The tables keep insertion order, so the newer entries are the last
-        ones; defining atoms are numbered from the mark again.
+        ones; defining atoms are numbered from the mark again, so the cones
+        of forgotten variables go too, and the store drops their clauses.
         """
-        for table, size in zip(self._tables, mark):
+        *sizes, stored = mark
+        for table, size in zip(self._tables, sizes):
             while len(table) > size:
-                table.popitem()
+                key, _ = table.popitem()
+                if table is self._atoms:
+                    self._cones.pop(key, None)
+        self.store.truncate(stored)
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""
@@ -125,39 +138,64 @@ class CnfBuilder:
                 ]
             else:
                 raise TypeError(f"not a formula: {formula!r}")
-            self._defs[out] = tuple(
-                clause
-                for clause in map(frozenset, defs)
-                if not _tautologous(clause)
-            )
+            first = len(self.store.clauses)
+            for clause in dict.fromkeys(map(frozenset, defs)):
+                if not _tautologous(clause):
+                    self.store.add(clause)
+            self._defs[out] = range(first, len(self.store.clauses))
             self._operands[out] = (abs(left), abs(right))
             lit = out
         self._literal[formula] = lit
         return lit
 
-    def clause_set(self, asserted: Iterable[int] = ()) -> ClauseSet:
-        """Unit assertions plus the definitions their literals reach.
+    def _reach(self, top: int) -> tuple[int, ...]:
+        """Numbers of the clauses of every definition variable top reaches.
 
-        A definition is reached when its defining variable occurs in an
-        assertion or as an operand of another reached definition; the rest
-        are left out, which keeps satisfiability since a definition
-        constrains only its own fresh variable.  Tautologous clauses are
-        dropped, duplicates collapse, and the rest is sorted (by size, then
-        literal tuple) so equal inputs give identical clause sets.
+        A definition is reached when its defining variable is top or an
+        operand of another reached definition.
         """
-        clauses = {frozenset((lit,)) for lit in asserted}
+        found: list[int] = []
         reached: set[int] = set()
-        pending = [abs(lit) for unit in clauses for lit in unit]
+        pending = [top]
         while pending:
             var = pending.pop()
             if var in reached:
                 continue
             reached.add(var)
-            clauses.update(self._defs.get(var, ()))
+            found.extend(self._defs.get(var, ()))
             pending.extend(self._operands.get(var, ()))
-        ordered = sorted(clauses, key=lambda c: (len(c), sorted(c)))
+        return tuple(found)
+
+    def problem(self, asserted: Sequence[int]) -> Problem:
+        """A search assuming the literals, over the definitions they reach.
+
+        The rest are left out, which keeps satisfiability since a
+        definition constrains only its own fresh variable.
+        """
+        cones = self._cones
+        active: set[int] = set()
+        for lit in asserted:
+            cone = cones.get(abs(lit))
+            if cone is None:
+                cone = cones[abs(lit)] = self._reach(abs(lit))
+            active.update(cone)
+        return Problem(self.store, tuple(asserted), active)
+
+    def clause_set(self, asserted: Iterable[int] = ()) -> ClauseSet:
+        """Unit assertions plus the definitions their literals reach.
+
+        The clauses are those a `problem` over the same literals activates,
+        found here by a fresh walk that no memo takes part in.  Tautologous
+        clauses were dropped when stored, duplicates collapse, and the rest
+        is sorted (by size, then literal tuple) so equal inputs give
+        identical clause sets.
+        """
+        asserted = tuple(asserted)
+        active = set().union(*(self._reach(abs(lit)) for lit in asserted))
+        clauses = Problem(self.store, asserted, active).clauses
+        reached = {abs(lit) for clause in clauses for lit in clause}
         return ClauseSet(
-            clauses=tuple(ordered),
+            clauses=clauses,
             atoms={var: self._atoms[var] for var in reached},
             aux=frozenset(reached & self._defs.keys()),
         )

@@ -26,6 +26,10 @@ that shares no atom with the rest of the domain.  A selection is consistent
 exactly when its part in each island is, so maximal positions are products
 of per-island maximal selections, and a conclusion depends only on the
 islands whose atoms it mentions.
+
+Every search is a `sat.solve` over the domain's one clause store: it assumes
+the top literals of the rules (and the negated conclusion) a question needs,
+and only the clauses those literals reach take part.
 """
 
 from __future__ import annotations
@@ -35,13 +39,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import sat
-from .cnf import ClauseSet, CnfBuilder
+from .cnf import CnfBuilder
 from .errors import (
     AxiomHypothesisOverlap,
     DuplicateHypothesis,
     InconsistentAxioms,
     MixedDomains,
-    ResourceLimit,
 )
 from .formula import (
     Atom,
@@ -56,33 +59,6 @@ from .formula import (
 # Context extraction enumerates justification choices per query formula, which
 # grows exponentially with the query count; refuse silly sizes outright.
 MAX_CONTEXT_QUERIES = 12
-
-
-class _Budget:
-    """The decisions one question may spend, summed over its searches.
-
-    A question (is this selection consistent, does it entail that formula)
-    may need one search per island it touches; together they get the budget
-    a single search over the whole domain would have had.
-    """
-
-    def __init__(self, max_decisions: Optional[int]) -> None:
-        self.cap = (
-            sat.DEFAULT_MAX_DECISIONS
-            if max_decisions is None
-            else int(max_decisions)
-        )
-        self.spent = 0
-
-    def satisfiable(self, clause_set: ClauseSet) -> bool:
-        try:
-            result = sat.solve(clause_set, self.cap - self.spent)
-        except ResourceLimit:
-            raise ResourceLimit(
-                f"satisfiability search exceeded {self.cap} decisions"
-            ) from None
-        self.spent += result.decisions
-        return result.satisfiable
 
 
 @dataclass
@@ -109,11 +85,13 @@ class DomainOfRules:
     InconsistentAxioms otherwise.
 
     Construction also splits the rules into islands, groups connected
-    through shared atoms.  Every search covers only the islands its question
-    touches, assembled from one clausifier whose clause sets carry just the
-    definitions of the rules asserted.  Consistency is memoized per island
-    and selection within the island, because the position and context
-    machinery revisits the same selections many times.
+    through shared atoms.  One clausifier holds the rules' clauses in a
+    persistent store, and every search assumes the top literals of the
+    axioms and selected hypotheses of the islands its question touches, so
+    only their definitions take part.  The decisions of one question are
+    summed over its searches against `max_decisions`.  Consistency is
+    memoized per island and selection within the island, because the
+    position and context machinery revisits the same selections many times.
     """
 
     def __init__(
@@ -176,9 +154,9 @@ class DomainOfRules:
 
         self._consistency: dict[tuple[int, frozenset[int]], bool] = {}
         self._maximal: Optional[tuple["Position", ...]] = None
-        budget = _Budget(max_decisions)
+        self._question()
         for number in range(len(self._islands)):
-            if not self._island_consistent(number, frozenset(), budget):
+            if not self._island_consistent(number, frozenset()):
                 raise InconsistentAxioms("the axioms are jointly unsatisfiable")
 
     def __eq__(self, other: object) -> bool:
@@ -219,9 +197,21 @@ class DomainOfRules:
             if atom in self._island_of_atom
         )
 
-    def _island_consistent(
-        self, number: int, part: frozenset[int], budget: _Budget
-    ) -> bool:
+    def _question(self) -> None:
+        """Start a question: its searches share one decision budget.
+
+        A question (is this selection consistent, does it entail that
+        formula) may need one search per island it touches; together they
+        get the budget one search over the whole domain would have had.
+        """
+        self._builder.store.spent = 0
+
+    def _satisfiable(self, tops: list[int]) -> bool:
+        """Whether the top literals are satisfiable together."""
+        problem = self._builder.problem(tops)
+        return sat.solve(problem, self.max_decisions).satisfiable
+
+    def _island_consistent(self, number: int, part: frozenset[int]) -> bool:
         """Whether the island's axioms and the hypotheses in part are satisfiable.
 
         Nothing asserted (an island without axioms, asked of no hypotheses)
@@ -236,9 +226,7 @@ class DomainOfRules:
             else:
                 tops = list(island.axiom_tops)
                 tops += [self._hyp_tops[i] for i in sorted(part)]
-                known = not tops or budget.satisfiable(
-                    self._builder.clause_set(tops)
-                )
+                known = not tops or self._satisfiable(tops)
             self._consistency[key] = known
         return known
 
@@ -256,8 +244,8 @@ class DomainOfRules:
                     selection = frozenset(combo)
                     if any(selection <= bigger for bigger in accepted):
                         continue
-                    budget = _Budget(self.max_decisions)
-                    if self._island_consistent(number, selection, budget):
+                    self._question()
+                    if self._island_consistent(number, selection):
                         accepted.append(selection)
             island.maximal = tuple(accepted)
         return island.maximal
@@ -268,9 +256,9 @@ class DomainOfRules:
         Only the islands the selection touches are asked; the axioms of every
         island were found consistent at construction.
         """
-        budget = _Budget(self.max_decisions)
+        self._question()
         return all(
-            self._island_consistent(number, part, budget)
+            self._island_consistent(number, part)
             for number, part in self._parts(chosen).items()
         )
 
@@ -283,9 +271,10 @@ class DomainOfRules:
         its atoms.  When that search finds a counter-model, the rest of the
         selection, which shares no atom with it, entails the conclusion only
         by being inconsistent.  The clausifier keeps the definitions of the
-        latest conclusion asked only, so a long-lived domain keeps its size.
+        latest conclusion asked only, as the top layer of its clause store,
+        so a long-lived domain keeps its size.
         """
-        budget = _Budget(self.max_decisions)
+        self._question()
         touched = self._islands_of(conclusion)
         tops = [
             top for number in sorted(touched)
@@ -299,10 +288,10 @@ class DomainOfRules:
             self._builder.rollback(self._rules_only)
             self._asked = conclusion
         tops.append(-self._builder.add(conclusion))
-        if not budget.satisfiable(self._builder.clause_set(tops)):
+        if not self._satisfiable(tops):
             return True
         return not all(
-            self._island_consistent(number, part, budget)
+            self._island_consistent(number, part)
             for number, part in self._parts(chosen).items()
             if number not in touched
         )

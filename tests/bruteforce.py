@@ -129,6 +129,10 @@ class DomainOracle:
             key=lambda fs: tuple(sorted(fs)),
         )
 
+    def entails(self, selection: int, phi: Formula) -> bool:
+        phi_mask = self.table.mask(phi)
+        return self.selection_masks[selection] & ~phi_mask & self.table.full == 0
+
     def reasonable(self, phi: Formula) -> bool:
         phi_mask = self.table.mask(phi)
         return any(
@@ -259,3 +263,38 @@ def random_variety(
             axioms = [rng.choice(atoms)]
         components.append(Calculus(axioms, signature))
     return Variety(components, signature)
+
+
+def rename_apart(formula: Formula, tag: int) -> Formula:
+    """The formula with `tag` appended to every predicate name."""
+    if isinstance(formula, Atom):
+        return Atom(f"{formula.predicate}{tag}")
+    if isinstance(formula, Not):
+        return Not(rename_apart(formula.operand, tag))
+    return type(formula)(
+        rename_apart(formula.left, tag), rename_apart(formula.right, tag)
+    )
+
+
+def glued_corpus(seed: int):
+    """(axioms, hypotheses, per-island atoms, rng) of a 2-4 island corpus.
+
+    A few seeded random domains, renamed apart so they share no atom, are
+    concatenated; the hypotheses are shuffled so that islands interleave in
+    the index order.  The returned rng continues the seeded stream.
+    """
+    rng = random.Random(seed)
+    count = rng.randint(2, 4)
+    axioms, hypotheses, island_atoms = [], [], []
+    for tag in range(count):
+        ax, hyps = random_domain(
+            rng, max_atoms=4, max_hypotheses=3 if count < 4 else 2
+        )
+        axioms += [rename_apart(f, tag) for f in ax]
+        hypotheses += [rename_apart(f, tag) for f in hyps]
+        atoms = set()
+        for f in ax + hyps:
+            atoms |= {rename_apart(a, tag) for a in atoms_of(f)}
+        island_atoms.append(sorted(atoms, key=str))
+    rng.shuffle(hypotheses)
+    return axioms, hypotheses, island_atoms, rng

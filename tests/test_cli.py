@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from lri import cli, engine
+from lri import cli, cnf, engine
 from lri.cli import ReplSession
 from lri.kb import loads
 
@@ -643,6 +643,31 @@ def test_repl_failed_domain_build_is_not_kept(counts):
     assert first == second
     assert first["diagnostics"]["error"] == "InconsistentAxioms"
     assert counts["builds"] == 2
+
+
+def test_no_question_assembles_a_clause_set(
+    capsys, monkeypatch, permit_file, tmp_path
+):
+    """Every search assumes literals over the domain's clause store."""
+
+    def refuse(self, asserted=()):
+        raise AssertionError("a question assembled a clause set")
+
+    monkeypatch.setattr(cnf.CnfBuilder, "clause_set", refuse)
+    probe = tmp_path / "probe.lri"
+    probe.write_text("perm.\n-perm.\nact.\n", encoding="utf-8")
+    for argv in (
+        ["positions", permit_file],
+        ["justify", permit_file, "perm"],
+        ["context", permit_file, "perm", "-perm"],
+        ["infer", permit_file, "-perm"],
+        ["variety", permit_file, "--probe", str(probe)],
+        ["compat", permit_file, "0", "1"],
+    ):
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == 0, (argv, doc["diagnostics"])
+    doc = _session().handle("assert-ax -act")
+    assert sorted(doc["verdict"]["conflict"]) == ["-act", "act"]
 
 
 def test_repl_subprocess_session(permit_file):

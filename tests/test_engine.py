@@ -242,6 +242,32 @@ def test_a_long_lived_domain_keeps_its_size(permit_domain):
         assert len(registered()) == built + largest
 
 
+def test_a_long_lived_store_holds_the_rules_and_one_question(permit_domain):
+    """The clause store keeps the rules' clauses and the latest question's.
+
+    After each question the store holds exactly the clauses it held when
+    the domain was built plus the clauses a new domain adds for that
+    question alone, and its occurrence lists list those clauses only.
+    """
+    store = permit_domain._builder.store
+    rules = len(store.clauses)
+    atoms = [Atom(name) for name in ("act", "perm", "ex")]
+    rng = random.Random(9)
+    asked: set = set()
+    while len(asked) < 1000:
+        phi = random_formula(rng, atoms, depth=5)
+        if phi in asked:
+            continue
+        asked.add(phi)
+        reasonably_infers(permit_domain, phi)
+        alone = new_domain(permit_domain.axioms, permit_domain.hypotheses)
+        reasonably_infers(alone, phi)
+        own = len(alone._builder.store.clauses) - rules
+        assert len(store.clauses) == rules + own
+        listed = sum(map(len, store.occurrences.values()))
+        assert listed == sum(map(len, store.clauses))
+
+
 # ---------------------------------------------------------------------------
 # laws on random domains (small samples; the acceptance suite scales up)
 

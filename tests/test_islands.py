@@ -11,7 +11,8 @@ import random
 import pytest
 
 import lri.engine
-from bruteforce import DomainOracle, random_domain, random_formula
+from bruteforce import DomainOracle, random_formula
+from bruteforce import glued_corpus as _corpus
 from lri import (
     And,
     Atom,
@@ -29,33 +30,6 @@ from lri import (
 )
 
 SEEDS = range(30)
-
-
-def _rename(formula: Formula, tag: int) -> Formula:
-    if isinstance(formula, Atom):
-        return Atom(f"{formula.predicate}{tag}")
-    if isinstance(formula, Not):
-        return Not(_rename(formula.operand, tag))
-    return type(formula)(_rename(formula.left, tag), _rename(formula.right, tag))
-
-
-def _corpus(seed: int):
-    """(axioms, hypotheses, per-island atoms) of a 2-4 island corpus."""
-    rng = random.Random(seed)
-    count = rng.randint(2, 4)
-    axioms, hypotheses, island_atoms = [], [], []
-    for tag in range(count):
-        ax, hyps = random_domain(
-            rng, max_atoms=4, max_hypotheses=3 if count < 4 else 2
-        )
-        axioms += [_rename(f, tag) for f in ax]
-        hypotheses += [_rename(f, tag) for f in hyps]
-        atoms = set()
-        for f in ax + hyps:
-            atoms |= {_rename(a, tag) for a in lri.atoms_of(f)}
-        island_atoms.append(sorted(atoms, key=str))
-    rng.shuffle(hypotheses)
-    return axioms, hypotheses, island_atoms, rng
 
 
 def _queries(rng: random.Random, island_atoms) -> list[Formula]:
@@ -78,9 +52,7 @@ def _queries(rng: random.Random, island_atoms) -> list[Formula]:
 
 
 def _entails(oracle: DomainOracle, selection, phi) -> bool:
-    mask = sum(1 << i for i in selection)
-    phi_mask = oracle.table.mask(phi)
-    return oracle.selection_masks[mask] & ~phi_mask & oracle.table.full == 0
+    return oracle.entails(sum(1 << i for i in selection), phi)
 
 
 def _ordered(found) -> list[list[int]]:

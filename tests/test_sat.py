@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+import lri.engine
 from lri import (
     Atom,
     DomainOfRules,
+    Not,
+    Or,
     ResourceLimit,
     Signature,
     atoms_of,
@@ -17,7 +20,14 @@ from lri import (
 from lri.cnf import clausify
 from lri.engine import minimal_inconsistent_subset
 
-from bruteforce import TableOracle, make_atoms, random_formula
+from bruteforce import (
+    DomainOracle,
+    TableOracle,
+    glued_corpus,
+    make_atoms,
+    random_domain,
+    random_formula,
+)
 
 
 def _clauses(texts, sig=None):
@@ -172,3 +182,58 @@ def test_verified_model_satisfies_every_formula():
             for atom in atoms_of(formula):
                 env.setdefault(atom, False)
             assert evaluate(formula, env)
+
+
+def _store_corpus(seed):
+    """(axioms, hypotheses, atoms, rng): a random domain, or a glued one."""
+    if seed % 2:
+        axioms, hypotheses, island_atoms, rng = glued_corpus(seed)
+        return axioms, hypotheses, sum(island_atoms, []), rng
+    rng = random.Random(seed)
+    axioms, hypotheses = random_domain(rng, max_atoms=5, max_hypotheses=6)
+    atoms = {a for f in axioms + hypotheses for a in atoms_of(f)}
+    return axioms, hypotheses, sorted(atoms, key=str), rng
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_store_searches_match_one_shot_clause_sets(seed, monkeypatch):
+    """Each search under assumptions equals a one-shot solve of its clauses.
+
+    Consistency and entailment questions come in random order on one
+    domain, so satisfiable and unsatisfiable searches follow each other,
+    and conclusions are asked anew, asked again and rolled back.  Every search must give the verdict, decision
+    count and clauses of a one-shot solve of the clause set the builder
+    assembles for the same top literals, and every answer must match the
+    truth tables.
+    """
+    axioms, hypotheses, atoms, rng = _store_corpus(seed)
+    conclusions = [random_formula(rng, atoms, depth=3) for _ in range(5)]
+    fresh = Atom("fresh")
+    conclusions += [fresh, Or(fresh, Not(atoms[0])), Or(fresh, Not(fresh))]
+    domain = DomainOfRules(axioms, hypotheses, Signature())
+    oracle = DomainOracle(axioms, hypotheses, extra=conclusions)
+    real_solve = lri.engine.sat.solve
+    verdicts = []
+
+    def checked_solve(problem, max_decisions=None):
+        result = real_solve(problem, max_decisions)
+        clause_set = domain._builder.clause_set(problem.assumptions)
+        reference = real_solve(clause_set)
+        assert result.satisfiable is reference.satisfiable
+        assert result.decisions == reference.decisions
+        assert problem.clauses == clause_set.clauses
+        verdicts.append(result.satisfiable)
+        return result
+
+    monkeypatch.setattr(lri.engine.sat, "solve", checked_solve)
+    for _ in range(80):
+        chosen = [i for i in range(len(hypotheses)) if rng.random() < 0.5]
+        mask = sum(1 << i for i in chosen)
+        if rng.random() < 0.4:
+            expected = oracle.consistent(mask)
+            assert domain.consistent(frozenset(chosen)) is expected
+        else:
+            phi = rng.choice(conclusions)
+            expected = oracle.entails(mask, phi)
+            assert domain.selection_entails(frozenset(chosen), phi) is expected
+    assert True in verdicts and False in verdicts
