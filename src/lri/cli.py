@@ -189,9 +189,9 @@ def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
 # ---------------------------------------------------------------------------
 #
 # A query verb's handler takes the rule base, its domain and the verb's
-# operand, if it has one.  The batch verb and the interactive session both
-# call it, so the two surfaces produce identical documents for identical
-# rule bases.
+# arguments, if it has any.  The batch verb and, for a session command, the
+# interactive session both call it, so the two surfaces produce identical
+# documents for identical rule bases.
 
 
 def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
@@ -204,16 +204,14 @@ def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
     return grounded[0]
 
 
-def cmd_check(args) -> dict:
-    base = kbmod.load(args.file)
-    domain = base.domain(args.max_decisions)
+def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
     positions = maximal_positions(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
-    if args.dimacs:
+    if dimacs:
         clause_set = clausify(
             list(domain.axioms + domain.hypotheses), base.signature
         )
-        with open(args.dimacs, "w", encoding="utf-8") as handle:
+        with open(dimacs, "w", encoding="utf-8") as handle:
             handle.write(to_dimacs(clause_set))
     verdict = {
         "axioms_consistent": True,
@@ -327,9 +325,9 @@ def _render_context(doc: dict) -> list[str]:
     return lines
 
 
-def cmd_variety(args) -> dict:
-    base = kbmod.load(args.file)
-    domain = base.domain(args.max_decisions)
+def variety_doc(
+    base: kbmod.KnowledgeBase, domain: DomainOfRules, probe, dot
+) -> dict:
     v = variety_of(domain)
     positions = maximal_positions(domain)
     verdict = {
@@ -337,13 +335,13 @@ def cmd_variety(args) -> dict:
         "discrete": is_discrete(v),
         "connected": is_connected(v),
     }
-    if args.probe:
-        with open(args.probe, "r", encoding="utf-8") as handle:
-            probe = ProbeUniverse(base.ground_statements(handle.read()))
-        level = upper_level(v, probe, args.max_decisions)
+    if probe:
+        with open(probe, "r", encoding="utf-8") as handle:
+            universe = ProbeUniverse(base.ground_statements(handle.read()))
+        level = upper_level(v, universe, domain.max_decisions)
         verdict["upper_level"] = [print_formula(f) for f in level]
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
+    if dot:
+        with open(dot, "w", encoding="utf-8") as handle:
             handle.write(overlap_dot(v))
     return _doc(
         "variety",
@@ -375,18 +373,16 @@ def _render_variety(doc: dict) -> list[str]:
     return lines
 
 
-def cmd_compat(args) -> dict:
-    base = kbmod.load(args.file)
-    domain = base.domain(args.max_decisions)
+def compat_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, indices) -> dict:
     v = variety_of(domain)
     try:
-        indices = v.check_indices(args.indices)
-        compatible = is_compatible(v, indices, args.max_decisions)
+        checked = v.check_indices(indices)
+        compatible = is_compatible(v, checked, domain.max_decisions)
     except (IndexError, ValueError) as err:
         raise _InvalidComponents(str(err)) from None
     return _doc(
         "compat",
-        {"indices": list(args.indices)},
+        {"indices": list(indices)},
         {"compatible": compatible},
         diagnostics={"component_count": len(v)},
     )
@@ -654,11 +650,14 @@ class _Verb:
 
     `help` makes it a command line verb, and `repl` a session command at
     that place in the session's command list.  One handler is set:
-    `query(base, domain, *operand)` serves both surfaces, `batch(args)` the
-    command line only, and `edit(session, text)` the session only.  The
-    command line reads a query verb's rule base from a `file` argument put
-    before the others.  The session passes the rest of the line as the
-    operand, and refuses an empty one where the first argument is required.
+    `query(base, domain, *arguments)` serves the command line and any
+    session command, `batch(args)` the command line only, and
+    `edit(session, text)` the session only.  `run` is the one command line
+    loader: it reads a query verb's rule base from a `file` argument put
+    before the others, builds its domain, and passes the declared arguments
+    by their argparse names.  The session passes the rest of the line as
+    the operand, and refuses an empty one where the first argument is
+    required.
     """
 
     def __init__(
@@ -674,9 +673,8 @@ class _Verb:
             return self.batch(args)
         base = kbmod.load(args.file)
         domain = base.domain(args.max_decisions)
-        return self.query(
-            base, domain, *(getattr(args, name) for name, _ in self.arguments)
-        )
+        dests = [n.lstrip("-").replace("-", "_") for n, _ in self.arguments]
+        return self.query(base, domain, *(getattr(args, d) for d in dests))
 
     def require_operand(self, text: str) -> None:
         if not text and self.arguments and "nargs" not in self.arguments[0][1]:
@@ -703,10 +701,10 @@ _OVERLAP_DOT = _arg(
 # Command line verbs in `--help` order; `repl` orders the session's list.
 _VERBS = {
     "check": _Verb(
-        _render_check, "report consistency of a knowledge base", _FILE,
+        _render_check, "report consistency of a knowledge base",
         _arg("--dimacs", metavar="PATH",
              help="write the clause translation of axioms + hypotheses"),
-        batch=cmd_check),
+        query=check_doc),
     "positions": _Verb(
         _render_positions, "list maximal positions",
         repl=5, query=positions_doc),
@@ -723,13 +721,12 @@ _VERBS = {
         repl=6, query=context_doc),
     "variety": _Verb(
         _render_variety, "the variety of components over maximal positions",
-        _FILE,
         _arg("--probe", metavar="PATH",
              help="statements file; report which hold in some component"),
-        _OVERLAP_DOT, batch=cmd_variety),
+        _OVERLAP_DOT, query=variety_doc),
     "compat": _Verb(
         _render_compat, "compatibility of selected variety components",
-        _FILE, _arg("indices", nargs="+", type=int), batch=cmd_compat),
+        _arg("indices", nargs="+", type=int), query=compat_doc),
     "witness": _Verb(
         _render_witness, "n-component family compatible only in proper subsets",
         _arg("n", type=int), _OVERLAP_DOT, batch=cmd_witness),

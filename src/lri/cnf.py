@@ -59,48 +59,46 @@ class CnfBuilder:
     `add` translates a formula and returns its top literal without asserting
     it; callers choose which top literals to assume in a search.
     Definitions accumulate across calls (until a `rollback`) and are shared
-    between formulas with common subtrees.  Each is kept under the defining
-    variable it introduces, as the numbers of its clauses in `store` and the
-    variables of its operands, so a search can take just the ones it
-    depends on.  A variable's cone, the clauses of every definition it
-    reaches, is computed the first time a search assumes it.
+    between formulas with common subtrees.  The builder keeps two tables:
+    each translated formula's literal, and each defining variable's
+    definition, as the numbers of its clauses in `store` and the variables
+    of its operands, so a search can take just the definitions it depends
+    on.  Variables are the signature's registry indices plus one, so the
+    registry decodes them.  A variable's cone, the clauses of every
+    definition it reaches, is computed the first time a search assumes it.
     """
 
     def __init__(self, signature: Signature) -> None:
         self._sig = signature
         self.store = ClauseStore()
-        self._defs: dict[int, range] = {}
-        self._operands: dict[int, tuple[int, int]] = {}
         self._literal: dict[Formula, int] = {}
-        self._atoms: dict[int, Atom] = {}
-        self._tables = (self._literal, self._defs, self._operands, self._atoms)
+        self._defs: dict[int, tuple[range, tuple[int, int]]] = {}
         self._cones: dict[int, tuple[int, ...]] = {}
 
     def _var(self, atom: Atom) -> int:
-        var = self._sig.index_of(atom) + 1
-        self._atoms[var] = atom
-        return var
+        return self._sig.index_of(atom) + 1
 
     def _fresh_aux(self) -> int:
         return self._var(Atom(f"{AUX_PREFIX}{len(self._defs)}"))
 
-    def mark(self) -> tuple[int, ...]:
+    def mark(self) -> tuple[int, int, int]:
         """The builder's current extent, for `rollback` to return to."""
-        return (*map(len, self._tables), len(self.store.clauses))
+        return len(self._literal), len(self._defs), len(self.store.clauses)
 
-    def rollback(self, mark: tuple[int, ...]) -> None:
+    def rollback(self, mark: tuple[int, int, int]) -> None:
         """Forget every translation made since the mark was taken.
 
-        The tables keep insertion order, so the newer entries are the last
-        ones; defining atoms are numbered from the mark again, so the cones
-        of forgotten variables go too, and the store drops their clauses.
+        Both tables keep insertion order, so the newer entries are the last
+        ones.  Defining atoms are numbered from the mark again, so the cone of
+        each variable whose literal goes is forgotten (an older one is just
+        computed again), and the store drops the forgotten clauses.
         """
-        *sizes, stored = mark
-        for table, size in zip(self._tables, sizes):
-            while len(table) > size:
-                key, _ = table.popitem()
-                if table is self._atoms:
-                    self._cones.pop(key, None)
+        literals, defs, stored = mark
+        while len(self._literal) > literals:
+            _, lit = self._literal.popitem()
+            self._cones.pop(abs(lit), None)
+        while len(self._defs) > defs:
+            self._defs.popitem()
         self.store.truncate(stored)
 
     def add(self, formula: Formula) -> int:
@@ -142,8 +140,9 @@ class CnfBuilder:
             for clause in dict.fromkeys(map(frozenset, defs)):
                 if not _tautologous(clause):
                     self.store.add(clause)
-            self._defs[out] = range(first, len(self.store.clauses))
-            self._operands[out] = (abs(left), abs(right))
+            self._defs[out] = (
+                range(first, len(self.store.clauses)), (abs(left), abs(right))
+            )
             lit = out
         self._literal[formula] = lit
         return lit
@@ -162,8 +161,9 @@ class CnfBuilder:
             if var in reached:
                 continue
             reached.add(var)
-            found.extend(self._defs.get(var, ()))
-            pending.extend(self._operands.get(var, ()))
+            clauses, operands = self._defs.get(var, ((), ()))
+            found.extend(clauses)
+            pending.extend(operands)
         return tuple(found)
 
     def problem(self, asserted: Sequence[int]) -> Problem:
@@ -196,7 +196,7 @@ class CnfBuilder:
         reached = {abs(lit) for clause in clauses for lit in clause}
         return ClauseSet(
             clauses=clauses,
-            atoms={var: self._atoms[var] for var in reached},
+            atoms={var: self._sig.atom_at(var - 1) for var in reached},
             aux=frozenset(reached & self._defs.keys()),
         )
 

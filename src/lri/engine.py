@@ -127,8 +127,7 @@ class DomainOfRules:
         rules = self.axioms + self.hypotheses
         # Register atoms in rule order so registry indices, and with them the
         # solver's branching order, follow the order rules were stated in.
-        for formula in rules:
-            signature.register_formula(formula)
+        rule_atoms = [signature.register_formula(f) for f in rules]
         self._builder = CnfBuilder(signature)
         tops = [self._builder.add(f) for f in rules]
         first_hyp = len(self.axioms)
@@ -136,7 +135,6 @@ class DomainOfRules:
         self._rules_only = self._builder.mark()
         self._asked: Optional[Formula] = None
 
-        rule_atoms = [atoms_of(f) for f in rules]
         self._islands: list[_Island] = []
         self._island_of_hyp = [0] * len(self.hypotheses)
         self._island_of_atom: dict[Atom, int] = {}
@@ -361,11 +359,6 @@ class Context:
     """Conclusions drawn together, each carried by a justification."""
 
     pairs: frozenset[tuple[Formula, Justification]]
-
-    def conclusions(self) -> tuple[Formula, ...]:
-        return tuple(sorted(
-            (c for c, _ in self.pairs), key=print_formula
-        ))
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,7 @@ class Signature:
         constants: Iterable[str] = (),
     ) -> None:
         self._arities: dict[str, int] = {}
-        self._constants: list[str] = []
-        self._constant_set: set[str] = set()
+        self._constants: dict[str, None] = {}
         for name, arity in predicates:
             self.declare_predicate(name, arity)
         for name in constants:
@@ -249,21 +248,20 @@ class Signature:
                     f"used with arity {arity}"
                 )
             return
-        if name in self._constant_set:
+        if name in self._constants:
             raise FormulaSyntaxError(
                 f"name '{name}' is already a constant", 0
             )
         self._arities[name] = arity
 
     def declare_constant(self, name: str) -> None:
-        if name in self._constant_set:
+        if name in self._constants:
             return
         if name in self._arities:
             raise FormulaSyntaxError(
                 f"name '{name}' is already a predicate", 0
             )
-        self._constants.append(name)
-        self._constant_set.add(name)
+        self._constants[name] = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -309,13 +307,17 @@ class Signature:
     def registered_atoms(self) -> tuple[Atom, ...]:
         return tuple(self._atoms)
 
-    def register_formula(self, formula: Formula) -> None:
-        """Validate a formula's atoms and index the ground ones, left first."""
-        for node in walk(formula):
-            if isinstance(node, Atom):
-                self.check_atom(node)
-                if not any(is_variable(a) for a in node.args):
-                    self.index_of(node)
+    def register_formula(self, formula: Formula) -> frozenset[Atom]:
+        """Validate a formula's atoms and index the ground ones, left first.
+
+        Returns the atoms walked, the formula's `atoms_of`.
+        """
+        atoms = [node for node in walk(formula) if isinstance(node, Atom)]
+        for atom in atoms:
+            self.check_atom(atom)
+            if not any(is_variable(a) for a in atom.args):
+                self.index_of(atom)
+        return frozenset(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .engine import DomainOfRules, maximal_positions
 from .errors import IncompleteRenaming
@@ -222,6 +222,9 @@ class Variety:
     hypotheses of one axiom-free domain of rules, which registers and checks
     them in the signature; each component is kept as the selection of its
     formulas' indices there, and every question below asks that domain.
+    Discreteness, connectedness and the overlap graph compare selections
+    (with labels, for the first two): two components share an axiom exactly
+    when their selections intersect.
     """
 
     def __init__(
@@ -264,13 +267,6 @@ class Variety:
 
     def axiom_set(self, i: int) -> frozenset[Formula]:
         return frozenset(self._renamed[i])
-
-    def qualified_axiom_set(
-        self, i: int
-    ) -> frozenset[tuple[Label, Formula]]:
-        """Axioms tagged with the component's label (None when unlabeled)."""
-        label = self.labels[i]
-        return frozenset((label, f) for f in self._renamed[i])
 
     def check_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
         indices = tuple(subset)
@@ -318,27 +314,26 @@ def upper_level(
     )
 
 
+def _overlaps(v: Variety) -> Iterator[bool]:
+    """Whether each pair of components shares a label-qualified axiom."""
+    labels, chosen = v.labels, v._selections
+    for i, j in itertools.combinations(range(len(v)), 2):
+        yield labels[i] == labels[j] and not chosen[i].isdisjoint(chosen[j])
+
+
 def is_discrete(v: Variety) -> bool:
     """Whether the label-qualified component axiom sets are pairwise disjoint."""
-    sets = [v.qualified_axiom_set(i) for i in range(len(v))]
-    return all(
-        not (sets[i] & sets[j])
-        for i, j in itertools.combinations(range(len(sets)), 2)
-    )
+    return not any(_overlaps(v))
 
 
 def is_connected(v: Variety) -> bool:
     """Whether every pair of components shares an axiom.
 
-    Intersections are taken on label-qualified generator sets, so a
-    discretized variety with several components is never connected.  A
-    single-component variety is vacuously connected.
+    Components share one when their labels are equal and their selections
+    intersect, so a discretized variety with several components is never
+    connected.  A single-component variety is vacuously connected.
     """
-    sets = [v.qualified_axiom_set(i) for i in range(len(v))]
-    return all(
-        bool(sets[i] & sets[j])
-        for i, j in itertools.combinations(range(len(sets)), 2)
-    )
+    return all(_overlaps(v))
 
 
 def is_compatible(
@@ -551,13 +546,14 @@ def overlap_dot(v: Variety) -> str:
     """Graphviz source for the component overlap graph of a variety.
 
     Nodes are components; an edge appears where two components' (plain)
-    axiom sets intersect, labeled with the intersection size.
+    axiom selections intersect, labeled with the intersection size.
     """
+    selections = v._selections
     lines = ["graph components {"]
-    for i in range(len(v)):
-        lines.append(f'  c{i} [label="component {i} ({len(v.axiom_set(i))} axioms)"];')
+    for i, selection in enumerate(selections):
+        lines.append(f'  c{i} [label="component {i} ({len(selection)} axioms)"];')
     for i, j in itertools.combinations(range(len(v)), 2):
-        shared = v.axiom_set(i) & v.axiom_set(j)
+        shared = selections[i] & selections[j]
         if shared:
             lines.append(f'  c{i} -- c{j} [label="{len(shared)}"];')
     lines.append("}")

@@ -5,15 +5,21 @@ import random
 import pytest
 
 from lri import (
+    And,
     Atom,
     AxiomHypothesisOverlap,
     Context,
     DuplicateHypothesis,
     InconsistentAxioms,
+    Iff,
+    Implies,
     Justification,
     MixedDomains,
+    Not,
+    Or,
     Position,
     Signature,
+    atoms_of,
     in_reasonable_theory,
     is_consistent_context,
     justifications,
@@ -24,6 +30,7 @@ from lri import (
     print_formula,
     reasonably_infers,
 )
+from lri.formula import walk
 
 from bruteforce import DomainOracle, random_domain, random_formula
 from conftest import build_domain
@@ -266,6 +273,46 @@ def test_a_long_lived_store_holds_the_rules_and_one_question(permit_domain):
         assert len(store.clauses) == rules + own
         listed = sum(map(len, store.occurrences.values()))
         assert listed == sum(map(len, store.clauses))
+
+
+def test_a_long_lived_domain_keeps_cones_of_the_rules_and_one_question(
+    permit_domain,
+):
+    """Cones are kept for the rules' variables and the latest question's.
+
+    Many questions mention an atom no rule or earlier question mentions, some
+    as their whole conclusion, so the variables dropped with a question
+    include atoms as well as defining atoms whose numbers the next question
+    reuses.
+    """
+    builder = permit_domain._builder
+    rule_vars = {abs(lit) for lit in builder._literal.values()}
+    rule_defs = len(builder._defs)
+    rules = [Atom(name) for name in ("act", "perm", "ex")]
+    rng = random.Random(10)
+    asked: set = set()
+    while len(asked) < 1000:
+        fresh = Atom(f"z{len(asked)}")
+        if len(asked) % 4:
+            phi = random_formula(rng, rules + [fresh], depth=4)
+        else:
+            phi = rng.choice([fresh, Not(fresh)])
+        if phi in asked:
+            continue
+        asked.add(phi)
+        reasonably_infers(permit_domain, phi)
+        var = {
+            atom: i + 1
+            for i, atom in enumerate(permit_domain.signature.registered_atoms())
+        }
+        binary = sum(
+            isinstance(node, (And, Or, Implies, Iff)) for node in walk(phi)
+        )
+        aux = (Atom(f"${n}") for n in range(rule_defs, rule_defs + binary))
+        question_vars = {var[atom] for atom in atoms_of(phi)}
+        question_vars.update(var[atom] for atom in aux if atom in var)
+        assert set(builder._cones) <= rule_vars | question_vars
+        assert abs(builder._literal[phi]) in builder._cones
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,41 @@ def test_discretize_separates_components(permit_domain):
     assert d.labels == (0, 1, 2)
 
 
+def test_partly_shared_labels_qualify_overlaps():
+    """Components overlap when their labels agree and they share an axiom.
+
+    Every pair of components shares a formula, but labels [0, 0, 1] keep
+    component 2 apart from the others; the overlap graph ignores labels.
+    """
+    sig = Signature()
+    a, b, c, d = (parse_formula(t, sig) for t in "abcd")
+    components = [
+        Calculus([a, b], sig), Calculus([b, c], sig), Calculus([a, b, d], sig)
+    ]
+    expected = {
+        None: (False, True),
+        (0, 0, 1): (False, False),
+        (1, 0, 1): (False, False),
+        (0, 1, 2): (True, False),
+        ("x", "x", "x"): (False, True),
+    }
+    for labels, verdicts in expected.items():
+        v = Variety(components, sig, labels=labels)
+        assert (is_discrete(v), is_connected(v)) == verdicts, labels
+        assert overlap_dot(v) == (
+            "graph components {\n"
+            '  c0 [label="component 0 (2 axioms)"];\n'
+            '  c1 [label="component 1 (2 axioms)"];\n'
+            '  c2 [label="component 2 (3 axioms)"];\n'
+            '  c0 -- c1 [label="1"];\n'
+            '  c0 -- c2 [label="2"];\n'
+            '  c1 -- c2 [label="1"];\n'
+            "}\n"
+        )
+    apart = Variety(components[1:], sig, labels=(0, 0))
+    assert not is_discrete(apart) and is_connected(apart)
+
+
 def test_discretize_preserves_observations():
     rng = random.Random(22)
     for _ in range(12):
