@@ -91,7 +91,9 @@ class DomainOfRules:
     only their definitions take part.  The decisions of one question are
     summed over its searches against `max_decisions`.  Consistency is
     memoized per island and selection within the island, because the
-    position and context machinery revisits the same selections many times.
+    position and context machinery revisits the same selections many times;
+    entailment is memoized for the latest conclusion only (see
+    `selection_entails`).
     """
 
     def __init__(
@@ -134,6 +136,7 @@ class DomainOfRules:
         self._hyp_tops = tuple(tops[first_hyp:])
         self._rules_only = self._builder.mark()
         self._asked: Optional[Formula] = None
+        self._countered: dict[frozenset[int], bool] = {}
 
         self._islands: list[_Island] = []
         self._island_of_hyp = [0] * len(self.hypotheses)
@@ -266,27 +269,37 @@ class DomainOfRules:
         """Whether axioms plus the selection classically entail conclusion.
 
         One search refutes the negated conclusion over the islands sharing
-        its atoms.  When that search finds a counter-model, the rest of the
-        selection, which shares no atom with it, entails the conclusion only
-        by being inconsistent.  The clausifier keeps the definitions of the
-        latest conclusion asked only, as the top layer of its clause store,
-        so a long-lived domain keeps its size.
+        its atoms, so its outcome depends only on the selection's part in
+        those islands.  When that search finds a counter-model, the rest of
+        the selection, which shares no atom with it, entails the conclusion
+        only by being inconsistent.
+
+        The domain remembers the latest conclusion asked only: the
+        clausifier keeps its definitions as the top layer of the clause
+        store, and whether each refutation found a counter-model is kept by
+        the part it depended on.  Asking another conclusion drops both, so a long-lived
+        domain keeps its size, while asking the same conclusion of many
+        selections, or asking it again, searches once per distinct part.
         """
         self._question()
-        touched = self._islands_of(conclusion)
-        tops = [
-            top for number in sorted(touched)
-            for top in self._islands[number].axiom_tops
-        ]
-        tops += [
-            self._hyp_tops[i] for i in sorted(chosen)
-            if self._island_of_hyp[i] in touched
-        ]
         if conclusion != self._asked:
             self._builder.rollback(self._rules_only)
+            self._countered.clear()
             self._asked = conclusion
-        tops.append(-self._builder.add(conclusion))
-        if not self._satisfiable(tops):
+        touched = self._islands_of(conclusion)
+        inside = frozenset(
+            i for i in chosen if self._island_of_hyp[i] in touched
+        )
+        countered = self._countered.get(inside)
+        if countered is None:
+            tops = [
+                top for number in sorted(touched)
+                for top in self._islands[number].axiom_tops
+            ]
+            tops += [self._hyp_tops[i] for i in sorted(inside)]
+            tops.append(-self._builder.add(conclusion))
+            countered = self._countered[inside] = self._satisfiable(tops)
+        if not countered:
             return True
         return not all(
             self._island_consistent(number, part)

@@ -10,10 +10,15 @@ and what changes when components are kept apart by labeling
 (discretization).
 
 Every such question is a consistency or entailment question about the
-components' axiom sets, so a variety keeps one axiom-free domain of rules
-whose hypotheses are the distinct component formulas, and each component is
-a selection of them.  Upper levels, compatibility and depth are then asked
-of that domain, island by island, with its consistency memo and one
+components' axiom sets, so a variety is held as one domain of rules and,
+per component, a selection of that domain's hypotheses: the component's
+axioms are the domain's axioms plus the selected hypotheses.  The variety
+of a domain is that domain itself, with the selections of its maximal
+positions, so nothing is built, registered or translated a second time.  A
+variety given as a list of calculi gets an axiom-free domain whose
+hypotheses are the distinct component formulas.  Upper levels,
+compatibility and depth are asked of the domain, island by island, with its
+consistency memo, its memo of the latest conclusion's refutations, and one
 decision budget per question.
 
 Theorem sets are infinite, so theorem-level comparisons are relativized to a
@@ -29,7 +34,9 @@ share the tautologies, which would make those notions vacuous.
 
 from __future__ import annotations
 
+import copy
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -218,13 +225,17 @@ class Variety:
     discretization label.  Renamed axiom tuples are computed eagerly, so an
     incomplete renaming fails at construction time, not at first query.
 
-    The distinct renamed formulas, in first-occurrence order, are the
-    hypotheses of one axiom-free domain of rules, which registers and checks
-    them in the signature; each component is kept as the selection of its
-    formulas' indices there, and every question below asks that domain.
-    Discreteness, connectedness and the overlap graph compare selections
-    (with labels, for the first two): two components share an axiom exactly
-    when their selections intersect.
+    A variety is one domain of rules plus, per component, a selection of
+    its hypotheses: component i's axioms are the domain's axioms and the
+    hypotheses selected by `_selections[i]`.  Built from calculi, the
+    domain is axiom-free and its hypotheses are the distinct renamed
+    formulas, in first-occurrence order; `variety_of` instead holds the
+    domain it is given, with its positions' selections, and makes the
+    calculi only when `components` is first read.  Every operation below
+    reads the domain and the selections alone, so it never asks which kind
+    of variety it has: a component has `len(domain.axioms)` axioms more
+    than its selection, and two components share an axiom exactly when the
+    domain has axioms or their selections intersect.
     """
 
     def __init__(
@@ -234,39 +245,66 @@ class Variety:
         maps: Optional[Sequence[Optional[RenamingMap]]] = None,
         labels: Optional[Sequence[Label]] = None,
     ) -> None:
-        self.components = tuple(components)
-        if not self.components:
+        components = tuple(components)
+        if not components:
             raise ValueError("a variety needs at least one component")
-        n = len(self.components)
-        self.maps = tuple(maps) if maps is not None else (None,) * n
-        self.labels = tuple(labels) if labels is not None else (None,) * n
-        if len(self.maps) != n:
+        n = len(components)
+        maps = tuple(maps) if maps is not None else (None,) * n
+        labels = tuple(labels) if labels is not None else (None,) * n
+        if len(maps) != n:
             raise ValueError("one renaming map entry per component required")
-        if len(self.labels) != n:
+        if len(labels) != n:
             raise ValueError("one label entry per component required")
-        self.signature = signature
-        self._renamed = tuple(
+        renamed = tuple(
             calculus.axioms if mapping is None
             else tuple(mapping.rename_formula(f) for f in calculus.axioms)
-            for calculus, mapping in zip(self.components, self.maps)
+            for calculus, mapping in zip(components, maps)
         )
-        self._domain = DomainOfRules(
-            (), dict.fromkeys(f for r in self._renamed for f in r), signature
+        domain = DomainOfRules(
+            (), dict.fromkeys(f for r in renamed for f in r), signature
         )
-        index = {f: i for i, f in enumerate(self._domain.hypotheses)}
-        self._selections = tuple(
-            frozenset(index[f] for f in r) for r in self._renamed
-        )
+        index = {f: i for i, f in enumerate(domain.hypotheses)}
+        selections = tuple(frozenset(index[f] for f in r) for r in renamed)
+        self._hold(domain, selections, renamed, maps, labels, components)
+
+    def _hold(
+        self,
+        domain: DomainOfRules,
+        selections: tuple[frozenset[int], ...],
+        renamed: tuple[tuple[Formula, ...], ...],
+        maps: tuple[Optional[RenamingMap], ...],
+        labels: tuple[Label, ...],
+        components: Optional[tuple[Calculus, ...]],
+    ) -> "Variety":
+        """Keep the components as selections of the domain's hypotheses.
+
+        `components` may be None only when every map is an inclusion, so
+        that the renamed axioms are the calculi's own.
+        """
+        self._domain = domain
+        self._selections = selections
+        self._renamed = renamed
+        self._components = components
+        self.signature = domain.signature
+        self.maps = maps
+        self.labels = labels
+        return self
+
+    @property
+    def components(self) -> tuple[Calculus, ...]:
+        """The calculi, made from the renamed axioms if not given."""
+        if self._components is None:
+            self._components = tuple(
+                Calculus(axioms, self.signature) for axioms in self._renamed
+            )
+        return self._components
 
     def __len__(self) -> int:
-        return len(self.components)
+        return len(self._selections)
 
     def renamed_axioms(self, i: int) -> tuple[Formula, ...]:
         """Component i's axioms, carried into the shared language."""
         return self._renamed[i]
-
-    def axiom_set(self, i: int) -> frozenset[Formula]:
-        return frozenset(self._renamed[i])
 
     def check_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
         indices = tuple(subset)
@@ -275,14 +313,24 @@ class Variety:
         if len(set(indices)) != len(indices):
             raise ValueError(f"repeated component index in {indices}")
         for i in indices:
-            if not 0 <= i < len(self.components):
+            if not 0 <= i < len(self):
                 raise IndexError(f"component index out of range: {i}")
         return indices
 
-    def _asking(self, max_decisions: Optional[int]) -> DomainOfRules:
-        """The variety's domain, spending max_decisions on each question."""
-        self._domain.max_decisions = max_decisions
-        return self._domain
+    @contextmanager
+    def _asking(self, max_decisions: Optional[int]) -> Iterator[DomainOfRules]:
+        """The variety's domain, spending max_decisions on each question.
+
+        The domain may be the caller's own, so its budget is put back
+        afterwards, also when a question runs out of it.
+        """
+        domain = self._domain
+        kept = domain.max_decisions
+        domain.max_decisions = max_decisions
+        try:
+            yield domain
+        finally:
+            domain.max_decisions = kept
 
 
 def variety_of(domain: DomainOfRules) -> Variety:
@@ -290,13 +338,19 @@ def variety_of(domain: DomainOfRules) -> Variety:
 
     One component per maximal position, in the positions' order; component
     axioms are the position's formulas (shared axioms included), inclusion
-    maps, no labels.
+    maps, no labels.  The variety holds the domain itself, with the
+    positions' selections.
     """
-    components = [
-        Calculus(position.formulas, domain.signature)
-        for position in maximal_positions(domain)
-    ]
-    return Variety(components, domain.signature)
+    positions = maximal_positions(domain)
+    unset = (None,) * len(positions)
+    return Variety.__new__(Variety)._hold(
+        domain,
+        tuple(position.chosen for position in positions),
+        tuple(position.formulas for position in positions),
+        maps=unset,
+        labels=unset,
+        components=None,
+    )
 
 
 def upper_level(
@@ -305,20 +359,25 @@ def upper_level(
     """Probe formulas that are theorems of at least one component.
 
     Labels never matter here: theorems are decided on plain formulas.  The
-    result keeps the probe's order, making aggregation deterministic.
+    result keeps the probe's order, making aggregation deterministic.  Each
+    formula is asked of the components in turn, so the domain searches once
+    per distinct part of their selections in the islands it touches.
     """
-    domain = v._asking(max_decisions)
-    return tuple(
-        phi for phi in _probe_formulas(probe)
-        if any(domain.selection_entails(s, phi) for s in v._selections)
-    )
+    with v._asking(max_decisions) as domain:
+        return tuple(
+            phi for phi in _probe_formulas(probe)
+            if any(domain.selection_entails(s, phi) for s in v._selections)
+        )
 
 
 def _overlaps(v: Variety) -> Iterator[bool]:
     """Whether each pair of components shares a label-qualified axiom."""
     labels, chosen = v.labels, v._selections
+    shared = bool(v._domain.axioms)
     for i, j in itertools.combinations(range(len(v)), 2):
-        yield labels[i] == labels[j] and not chosen[i].isdisjoint(chosen[j])
+        yield labels[i] == labels[j] and (
+            shared or not chosen[i].isdisjoint(chosen[j])
+        )
 
 
 def is_discrete(v: Variety) -> bool:
@@ -329,9 +388,10 @@ def is_discrete(v: Variety) -> bool:
 def is_connected(v: Variety) -> bool:
     """Whether every pair of components shares an axiom.
 
-    Components share one when their labels are equal and their selections
-    intersect, so a discretized variety with several components is never
-    connected.  A single-component variety is vacuously connected.
+    Components share one when their labels are equal and they share the
+    domain's axioms or a selected hypothesis, so a discretized variety with
+    several components is never connected.  A single-component variety is
+    vacuously connected.
     """
     return all(_overlaps(v))
 
@@ -349,7 +409,8 @@ def is_compatible(
     """
     indices = v.check_indices(subset)
     union = frozenset().union(*(v._selections[i] for i in indices))
-    return v._asking(max_decisions).consistent(union)
+    with v._asking(max_decisions) as domain:
+        return domain.consistent(union)
 
 
 def discretize(v: Variety) -> Variety:
@@ -357,11 +418,11 @@ def discretize(v: Variety) -> Variety:
 
     The result is discrete by construction, and since labels are erased at
     every observation point (upper levels, compatibility, depth checks),
-    those verdicts are unchanged.
+    those verdicts are unchanged.  It holds the same domain and selections.
     """
-    return Variety(
-        v.components, v.signature, v.maps, labels=tuple(range(len(v)))
-    )
+    discrete = copy.copy(v)
+    discrete.labels = tuple(range(len(v)))
+    return discrete
 
 
 @dataclass(frozen=True)
@@ -393,35 +454,39 @@ def check_variety_depth(
     the probed theorem-set intersection are both empty, or the calculus
     generated by the axiom-set intersection entails every probe formula the
     components' theorem sets share.  Labels are erased throughout.
+
+    A subset that shares no probed theorem has nothing to check, whatever
+    its axiom intersection (the domain's axioms plus the intersection of
+    its selections).  Each probe formula is asked of every component and
+    then of every k-subset sharing it before the next formula is asked, so
+    the domain searches once per distinct part of a selection in the
+    formula's islands.
     """
     n = len(v)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    formulas = _probe_formulas(probe)
-    domain = v._asking(max_decisions)
-    probed = [
-        frozenset(
-            phi for phi in formulas if domain.selection_entails(selection, phi)
-        )
-        for selection in v._selections
-    ]
-    entail_memo: dict[tuple[frozenset[int], Formula], bool] = {}
-    for combo in itertools.combinations(range(n), k):
-        candidate = frozenset.intersection(*(v._selections[i] for i in combo))
-        shared_theorems = [
-            phi for phi in formulas if all(phi in probed[i] for i in combo)
-        ]
-        if not candidate and not shared_theorems:
-            continue
-        for phi in shared_theorems:
-            key = (candidate, phi)
-            verdict = entail_memo.get(key)
-            if verdict is None:
-                verdict = domain.selection_entails(candidate, phi)
-                entail_memo[key] = verdict
-            if not verdict:
-                return DepthCheckResult(False, combo, phi)
-    return DepthCheckResult(True)
+    selections = v._selections
+    failure: Optional[tuple[tuple[int, ...], Formula]] = None
+    with v._asking(max_decisions) as domain:
+        for phi in _probe_formulas(probe):
+            holding = {
+                i for i, s in enumerate(selections)
+                if domain.selection_entails(s, phi)
+            }
+            for combo in itertools.combinations(range(n), k):
+                if failure is not None and combo >= failure[0]:
+                    break
+                if not holding.issuperset(combo):
+                    continue
+                common = frozenset.intersection(
+                    *(selections[i] for i in combo)
+                )
+                if not domain.selection_entails(common, phi):
+                    failure = (combo, phi)
+                    break
+    if failure is None:
+        return DepthCheckResult(True)
+    return DepthCheckResult(False, *failure)
 
 
 def witness_variety(n: int) -> Variety:
@@ -546,15 +611,17 @@ def overlap_dot(v: Variety) -> str:
     """Graphviz source for the component overlap graph of a variety.
 
     Nodes are components; an edge appears where two components' (plain)
-    axiom selections intersect, labeled with the intersection size.
+    axiom sets intersect, labeled with the intersection size.
     """
     selections = v._selections
+    shared_axioms = len(v._domain.axioms)
     lines = ["graph components {"]
     for i, selection in enumerate(selections):
-        lines.append(f'  c{i} [label="component {i} ({len(selection)} axioms)"];')
+        size = shared_axioms + len(selection)
+        lines.append(f'  c{i} [label="component {i} ({size} axioms)"];')
     for i, j in itertools.combinations(range(len(v)), 2):
-        shared = selections[i] & selections[j]
+        shared = shared_axioms + len(selections[i] & selections[j])
         if shared:
-            lines.append(f'  c{i} -- c{j} [label="{len(shared)}"];')
+            lines.append(f'  c{i} -- c{j} [label="{shared}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -608,8 +608,8 @@ def test_repl_repeated_query_reuses_the_domain(counts, tmp_path):
     again, spent_again = _spent(counts, session, "infer perm")
     assert again == first
     assert (spent_first["builds"], spent_again["builds"]) == (1, 0)
-    # entailment has no memo, but consistency and positions do
-    assert 0 < spent_again["solves"] < spent_first["solves"]
+    # the domain keeps the latest conclusion's refutations
+    assert spent_first["solves"] > 0 and spent_again["solves"] == 0
     assert _spent(counts, session, "positions")[1] == {"builds": 0, "solves": 0}
     _, spent = _spent(counts, session, f"save {tmp_path / 'out.lri'}")
     assert spent["builds"] == 0

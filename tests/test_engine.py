@@ -1,9 +1,11 @@
 """Reasonable inference: positions, justifications, and contexts."""
 
+import itertools
 import random
 
 import pytest
 
+import lri.sat
 from lri import (
     And,
     Atom,
@@ -273,6 +275,45 @@ def test_a_long_lived_store_holds_the_rules_and_one_question(permit_domain):
         assert len(store.clauses) == rules + own
         listed = sum(map(len, store.occurrences.values()))
         assert listed == sum(map(len, store.clauses))
+
+
+def test_entailment_searches_once_per_part_of_the_latest_conclusion(
+    monkeypatch,
+):
+    """Refutations are kept for the latest conclusion, by touched part.
+
+    Two islands, {p, p -> q} and {r | s, -r, -s}: a conclusion over q
+    depends only on the selection's part in the first island (and on the
+    second part's consistency, known from the sweep), so the four parts of
+    sixteen selections cost four searches, asking again costs none, and
+    another conclusion in between drops what was kept.
+    """
+    domain = build_domain(["r | s"], ["p", "p -> q", "-r", "-s"])
+    maximal_positions(domain)
+    solves = []
+    real_solve = lri.sat.solve
+
+    def counting_solve(problem, max_decisions=None):
+        solves.append(problem)
+        return real_solve(problem, max_decisions)
+
+    monkeypatch.setattr(lri.sat, "solve", counting_solve)
+    q = Atom("q")
+    selections = [
+        frozenset(s)
+        for size in range(5)
+        for s in itertools.combinations(range(4), size)
+    ]
+    answers = [domain.selection_entails(s, q) for s in selections]
+    assert answers == [{0, 1} <= s or {2, 3} <= s for s in selections]
+    assert len(solves) == 4
+    assert len(domain._countered) == 4
+    assert [domain.selection_entails(s, q) for s in selections] == answers
+    assert len(solves) == 4
+    assert not domain.selection_entails(frozenset({3}), Not(q))
+    assert len(domain._countered) == 1
+    assert [domain.selection_entails(s, q) for s in selections] == answers
+    assert len(solves) == 4 + 1 + 4
 
 
 def test_a_long_lived_domain_keeps_cones_of_the_rules_and_one_question(

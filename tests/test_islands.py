@@ -20,13 +20,17 @@ from lri import (
     Implies,
     Not,
     Or,
+    ProbeUniverse,
     ResourceLimit,
+    in_reasonable_theory,
     justifications,
     maximal_consistent_contexts,
     maximal_positions,
     new_domain,
     print_formula,
     reasonably_infers,
+    upper_level,
+    variety_of,
 )
 
 SEEDS = range(30)
@@ -182,3 +186,67 @@ def test_query_definitions_do_not_pile_up(permit_domain, monkeypatch):
     for phi in sorted(queries, key=print_formula):
         reasonably_infers(permit_domain, phi)
     assert check_size() == before
+
+
+def _paired_exceptions(k: int) -> tuple[list[Formula], list[Formula]]:
+    """k islands {p_i & e_i; p_i -> q_i, e_i -> -q_i}: 2^k positions."""
+    axioms, hypotheses = [], []
+    for i in range(k):
+        p, e, q = Atom(f"p{i}"), Atom(f"e{i}"), Atom(f"q{i}")
+        axioms.append(And(p, e))
+        hypotheses += [Implies(p, q), Implies(e, Not(q))]
+    return axioms, hypotheses
+
+
+def _variety_bases():
+    for seed in SEEDS:
+        axioms, hypotheses, island_atoms, rng = _corpus(seed)
+        atoms = [a for group in island_atoms for a in group]
+        probe = hypotheses[:2] + [
+            random_formula(rng, atoms, depth=2) for _ in range(6)
+        ]
+        yield f"corpus {seed}", axioms, hypotheses, probe
+    for k in (4, 8):
+        axioms, hypotheses = _paired_exceptions(k)
+        q = [Atom(f"q{i}") for i in range(k)]
+        probe = [
+            q[0], Not(q[1]), And(q[0], q[1]), Or(q[2], Not(q[3])),
+            And(q[0], Not(q[0])), Atom("fresh"), Or(Atom("p0"), q[k - 1]),
+        ]
+        yield f"paired {k}", axioms, hypotheses, probe
+
+
+def test_domain_upper_level_searches_no_more_than_reasonable_inference(
+    monkeypatch,
+):
+    """The upper level of a domain's variety asks once per island part.
+
+    Each probe formula is asked of every position, yet the domain searches
+    once per distinct part of a position in the islands the formula
+    touches, up to the first entailing one, which is no more than
+    `in_reasonable_theory` searches for the same answer.  Both domains are
+    swept before counting.
+    """
+    calls: list[int] = []
+    real_solve = lri.engine.sat.solve
+
+    def counting_solve(problem, max_decisions=None):
+        calls.append(1)
+        return real_solve(problem, max_decisions)
+
+    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
+    for name, axioms, hypotheses, probe in _variety_bases():
+        by_positions = new_domain(axioms, hypotheses)
+        v = variety_of(by_positions)
+        by_inference = new_domain(axioms, hypotheses)
+        maximal_positions(by_inference)
+        calls.clear()
+        level = upper_level(v, probe)
+        asked_level = len(calls)
+        calls.clear()
+        expected = tuple(
+            phi for phi in ProbeUniverse(probe)
+            if in_reasonable_theory(by_inference, phi)
+        )
+        assert level == expected, name
+        assert asked_level <= len(calls), (name, asked_level, len(calls))

@@ -2,14 +2,19 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+import lri.variety
+from lri.cnf import CnfBuilder
 from lri import (
     Calculus,
+    DomainOfRules,
     IncompleteRenaming,
     ProbeUniverse,
     RenamingMap,
+    ResourceLimit,
     Signature,
     Variety,
     apply_renaming,
@@ -18,6 +23,7 @@ from lri import (
     is_compatible,
     is_connected,
     is_discrete,
+    maximal_positions,
     new_domain,
     overlap_dot,
     parse_formula,
@@ -31,6 +37,7 @@ from lri import (
 )
 
 from bruteforce import random_domain, random_variety
+from conftest import build_domain
 
 
 def _calc(texts, sig=None):
@@ -176,7 +183,7 @@ def test_variety_components_follow_position_order(permit_domain):
         {"act", "ex", "(ex -> -perm)"},
     ]
     for i, texts in enumerate(expected):
-        assert {print_formula(f) for f in v.axiom_set(i)} == texts
+        assert {print_formula(f) for f in set(v.renamed_axioms(i))} == texts
 
 
 def test_variety_components_all_contain_the_axioms():
@@ -186,7 +193,87 @@ def test_variety_components_all_contain_the_axioms():
         domain = new_domain(axioms, hypotheses)
         v = variety_of(domain)
         for i in range(len(v)):
-            assert set(domain.axioms) <= v.axiom_set(i)
+            assert set(domain.axioms) <= set(v.renamed_axioms(i))
+
+
+def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
+    """The variety of a swept domain holds the domain itself.
+
+    Neither it nor its discretization builds a domain, registers or
+    translates a formula, or checks groundness; the calculi are made when
+    `components` is first read.
+    """
+    positions = maximal_positions(permit_domain)
+    expected = tuple(
+        Calculus(p.formulas, permit_domain.signature) for p in positions
+    )
+    calls: Counter = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(DomainOfRules, "__init__")
+    count(Signature, "register_formula")
+    count(CnfBuilder, "add")
+    count(lri.variety, "is_ground")
+    v = variety_of(permit_domain)
+    d = discretize(v)
+    assert calls == Counter()
+    for w in (v, d):
+        assert w.components == expected
+        assert [c.axioms for c in w.components] == [
+            p.formulas for p in positions
+        ]
+        assert w.maps == (None,) * 3
+        assert w.signature is permit_domain.signature
+    assert (v.labels, d.labels) == ((None,) * 3, (0, 1, 2))
+    assert set(calls) == {"is_ground"}
+
+
+def test_variety_questions_spend_the_budget_they_are_given(monkeypatch):
+    """A domain's variety asks its domain with the caller's budget.
+
+    The domain's own budget is in force nowhere inside the variety
+    functions and is back in place after each, also after ResourceLimit.
+    """
+    domain = build_domain(
+        ["a | b"], ["p", "p -> q", "-p", "c"], max_decisions=7
+    )
+    v = variety_of(domain)
+    sig = domain.signature
+    probe = [parse_formula(t, sig) for t in ["q", "-p", "c", "q & c", "a"]]
+    budgets = []
+    for name in ("consistent", "selection_entails"):
+        real = getattr(DomainOfRules, name)
+
+        def recording(self, *args, _real=real):
+            budgets.append(self.max_decisions)
+            return _real(self, *args)
+
+        monkeypatch.setattr(DomainOfRules, name, recording)
+    for budget in (None, 1000):
+        budgets.clear()
+        upper_level(v, probe, budget)
+        is_compatible(v, [0, 1], budget)
+        check_variety_depth(v, 2, probe, budget)
+        assert budgets and set(budgets) == {budget}
+        assert domain.max_decisions == 7
+    # refuting either conclusion against a | b takes a decision
+    both = [parse_formula(t, sig) for t in ["a & b", "b & a"]]
+    asks = [
+        lambda: upper_level(v, both[:1], 0),
+        lambda: check_variety_depth(v, 1, both[1:], 0),
+    ]
+    for ask in asks:
+        with pytest.raises(ResourceLimit, match="exceeded 0 decisions"):
+            ask()
+        assert domain.max_decisions == 7
 
 
 def test_permit_variety_connected_but_not_discrete(permit_domain):
@@ -359,7 +446,7 @@ def test_witness_variety_shape(n):
     assert is_connected(v)
     assert not is_discrete(v)
     for i in range(n):
-        assert len(v.axiom_set(i)) == 3
+        assert len(set(v.renamed_axioms(i))) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
