@@ -26,7 +26,6 @@ afresh each time it writes help, usage or an error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -493,7 +492,7 @@ class ReplSession:
         return self._domain
 
     def _replace_base(self, **fields) -> None:
-        self._base = dataclasses.replace(self._base, **fields)
+        self._base = self._base.replace(**fields)
         self._domain = None
 
     def _hypothesis_listing(self) -> list[dict]:
@@ -535,7 +534,7 @@ class ReplSession:
         instances = self._base.parse_query(text)
         axioms = list(self._base.axioms)
         axioms.extend(f for f in instances if f not in axioms)
-        candidate = dataclasses.replace(self._base, axioms=tuple(axioms))
+        candidate = self._base.replace(axioms=tuple(axioms))
         try:
             domain = candidate.domain(self._max_decisions)
         except InconsistentAxioms:

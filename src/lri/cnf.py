@@ -24,10 +24,9 @@ Literals are signed integers: registry index + 1, negative for negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Signature
+from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Record, Signature
 from .sat import ClauseStore, Problem
 
 AUX_PREFIX = "$"
@@ -39,18 +38,21 @@ def is_aux(atom: Atom) -> bool:
     return atom.predicate.startswith(AUX_PREFIX)
 
 
-@dataclass(frozen=True)
-class ClauseSet:
+class ClauseSet(Record):
     """An immutable clause collection with its literal decoding tables.
 
     `atoms` maps every variable number occurring in the clauses (signed
     literal magnitudes) back to its atom; `aux` lists the variable numbers of
-    defining atoms, which solvers exclude from reported models.
+    defining atoms, which solvers exclude from reported models.  Equality
+    and hashing look at the clauses alone.
     """
 
     clauses: tuple[Clause, ...]
-    atoms: Mapping[int, Atom] = field(compare=False)
-    aux: frozenset[int] = field(compare=False)
+    atoms: Mapping[int, Atom]
+    aux: frozenset[int]
+
+    def _compared(self) -> tuple:
+        return (self.clauses,)
 
 
 class CnfBuilder:

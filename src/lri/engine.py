@@ -35,7 +35,6 @@ and only the clauses those literals reach take part.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import sat
@@ -49,6 +48,7 @@ from .errors import (
 from .formula import (
     Atom,
     Formula,
+    Record,
     Signature,
     atom_groups,
     atoms_of,
@@ -61,7 +61,6 @@ from .formula import (
 MAX_CONTEXT_QUERIES = 12
 
 
-@dataclass
 class _Island:
     """Axioms and hypotheses sharing atoms only among themselves.
 
@@ -70,9 +69,10 @@ class _Island:
     maximal consistent selections once swept.
     """
 
-    axiom_tops: tuple[int, ...]
-    hypotheses: tuple[int, ...]
-    maximal: Optional[tuple[frozenset[int], ...]] = None
+    def __init__(self, axiom_tops, hypotheses) -> None:
+        self.axiom_tops: tuple[int, ...] = axiom_tops
+        self.hypotheses: tuple[int, ...] = hypotheses
+        self.maximal: Optional[tuple[frozenset[int], ...]] = None
 
 
 class DomainOfRules:
@@ -316,8 +316,7 @@ def _require_ground(formula: Formula, role: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(Record):
     """A consistent hypothesis selection within a domain of rules.
 
     Construction re-checks consistency (a cache hit when the selection came
@@ -328,14 +327,14 @@ class Position:
     domain: DomainOfRules
     chosen: frozenset[int]
 
-    def __post_init__(self) -> None:
-        for i in self.chosen:
-            if not 0 <= i < len(self.domain.hypotheses):
+    def __init__(self, domain: DomainOfRules, chosen: frozenset[int]) -> None:
+        super().__init__(domain, chosen)
+        for i in chosen:
+            if not 0 <= i < len(domain.hypotheses):
                 raise IndexError(f"hypothesis index out of range: {i}")
-        if not self.domain.consistent(self.chosen):
+        if not domain.consistent(chosen):
             raise ValueError(
-                "selection is inconsistent with the axioms: "
-                f"{sorted(self.chosen)}"
+                f"selection is inconsistent with the axioms: {sorted(chosen)}"
             )
 
     @property
@@ -347,8 +346,7 @@ class Position:
         return self.domain.selection_entails(self.chosen, conclusion)
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(Record):
     """A minimal position entailing a particular conclusion.
 
     Minimality: no proper subset of the chosen hypothesis indices still
@@ -359,16 +357,15 @@ class Justification:
     conclusion: Formula
     position: Position
 
-    def __post_init__(self) -> None:
-        if not self.position.entails(self.conclusion):
+    def __init__(self, conclusion: Formula, position: Position) -> None:
+        super().__init__(conclusion, position)
+        if not position.entails(conclusion):
             raise ValueError(
-                "position does not entail the conclusion: "
-                f"{print_formula(self.conclusion)}"
+                f"position does not entail the conclusion: {print_formula(conclusion)}"
             )
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     """Conclusions drawn together, each carried by a justification."""
 
     pairs: frozenset[tuple[Formula, Justification]]

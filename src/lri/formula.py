@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -32,22 +31,96 @@ from .errors import (
     UnknownSymbol,
 )
 
+_set = object.__setattr__  # past Record.__setattr__; looked up once, for speed
+
 # ---------------------------------------------------------------------------
 # Syntax trees
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Record:
+    """An immutable value made of the fields its class annotates.
+
+    The fields are the class's own annotations, or its base's if it has
+    none; a class attribute named after a field is its default.  Records of
+    one class with equal fields are equal, a record hashes as the tuple of
+    its fields, prints as `Name(field=value, ...)`, and refuses assignment
+    and deletion with AttributeError.  A subclass with checks defines its
+    own `__init__` and sets fields with `object.__setattr__`.  Formula
+    nodes compute their hash once, at construction, from their children's
+    kept hashes, and copy and pickle by calling their class on the fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def __init__(self, *values: object, **named: object) -> None:
+        cls, fields = type(self), self._fields
+        for field in fields[len(values):]:
+            if field not in named and not hasattr(cls, field):
+                break
+            values += (named.pop(field, getattr(cls, field, None)),)
+        if len(values) != len(fields) or named:
+            raise TypeError(f"{cls.__name__} takes {', '.join(fields)}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    def _compared(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field '{name}'")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes: object):
+        """A copy of this record with the named fields changed."""
+        return self.__class__(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class _Node(Record):
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key
+
+
+class Atom(_Node):
     """A predicate applied to argument names (possibly none).
 
     Arguments are stored as plain strings; an upper-case initial marks a
-    variable, anything else is a constant.  Structural equality and hashing
-    come from the dataclass fields, so atoms are usable as dict keys.
+    variable, anything else is a constant.  Equality and hashing are those
+    of a `Record`, so atoms are usable as dict keys.
     """
 
     predicate: str
-    args: tuple[str, ...] = ()
+    args: tuple[str, ...]
+
+    def __init__(self, predicate: str, args: tuple[str, ...] = ()) -> None:
+        _set(self, "predicate", predicate)
+        _set(self, "args", args)
+        _set(self, "_key", (predicate, args))
+        _set(self, "_hash", hash(self._key))
 
     def __str__(self) -> str:
         if not self.args:
@@ -55,33 +128,40 @@ class Atom:
         return f"{self.predicate}({', '.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Formula"
+class Not(_Node):
+    operand: Formula
+
+    def __init__(self, operand: Formula) -> None:
+        _set(self, "operand", operand)
+        _set(self, "_key", (operand,))
+        _set(self, "_hash", hash(self._key))
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    left: Formula
+    right: Formula
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", (left, right))
+        _set(self, "_hash", hash(self._key))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Implies(_Binary):
+    pass
+
+
+class Iff(_Binary):
+    pass
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Iff]
@@ -342,11 +422,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     position: int
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        _set(self, "kind", kind)
+        _set(self, "text", text)
+        _set(self, "position", position)
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -25,13 +25,13 @@ on load, each instance becoming its own axiom, hypothesis, or query.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import DomainOfRules
 from .errors import FormulaSyntaxError, UnknownSymbol
 from .formula import (
     Formula,
+    Record,
     Signature,
     ground,
     is_variable,
@@ -46,8 +46,7 @@ _HEADER_RE = re.compile(
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(Record):
     """A loaded knowledge base: ground rules plus the signature they live in."""
 
     signature: Signature

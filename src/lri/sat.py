@@ -30,12 +30,11 @@ truth-table reference lives with the tests, in `tests/bruteforce.py`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Union
 
 from .errors import ResourceLimit
-from .formula import Atom
+from .formula import Atom, Record
 
 if TYPE_CHECKING:
     from .cnf import ClauseSet
@@ -43,8 +42,7 @@ if TYPE_CHECKING:
 DEFAULT_MAX_DECISIONS = 10_000_000
 
 
-@dataclass(frozen=True)
-class SatResult:
+class SatResult(Record):
     """Outcome of a satisfiability search.
 
     `model` is None when unsatisfiable, and also for a `Problem`, whose
@@ -57,6 +55,11 @@ class SatResult:
     satisfiable: bool
     model: Optional[Mapping[Atom, bool]]
     decisions: int
+
+    def __init__(self, satisfiable, model, decisions) -> None:
+        object.__setattr__(self, "satisfiable", satisfiable)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "decisions", decisions)
 
 
 class ClauseStore:
@@ -93,7 +96,6 @@ class ClauseStore:
                     del occurrences[lit]
 
 
-@dataclass(slots=True)
 class Problem:
     """Assumption literals over a store, with the clauses they activate.
 
@@ -102,9 +104,10 @@ class Problem:
     clause set, and is built only when asked.
     """
 
-    store: ClauseStore
-    assumptions: tuple[int, ...]
-    active: Collection[int]
+    def __init__(self, store, assumptions, active) -> None:
+        self.store: ClauseStore = store
+        self.assumptions: tuple[int, ...] = assumptions
+        self.active: Collection[int] = active
 
     @property
     def clauses(self) -> tuple[frozenset[int], ...]:

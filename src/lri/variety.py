@@ -37,7 +37,6 @@ from __future__ import annotations
 import copy
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import reduce
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -48,6 +47,7 @@ from .formula import (
     Atom,
     Formula,
     Not,
+    Record,
     Signature,
     atom_groups,
     atoms_of,
@@ -425,8 +425,7 @@ def discretize(v: Variety) -> Variety:
     return discrete
 
 
-@dataclass(frozen=True)
-class DepthCheckResult:
+class DepthCheckResult(Record):
     """Outcome of check_variety_depth; falsy when a subset fails.
 
     On failure, `failing_components` is the first bad k-subset in index
@@ -514,22 +513,19 @@ def witness_variety(n: int) -> Variety:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionNode:
+class PartitionNode(Record):
     index: int
     formulas: tuple[Formula, ...]
     atoms: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class PartitionEdge:
+class PartitionEdge(Record):
     left: int
     right: int
     shared: tuple[Atom, ...]
 
 
-@dataclass(frozen=True)
-class PartitionGraph:
+class PartitionGraph(Record):
     nodes: tuple[PartitionNode, ...]
     edges: tuple[PartitionEdge, ...]
 
