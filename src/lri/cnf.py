@@ -138,10 +138,15 @@ class CnfBuilder:
                 ]
             else:
                 raise TypeError(f"not a formula: {formula!r}")
+            if abs(left) == abs(right):
+                # Only x op x and x op -x give repeated or tautologous clauses.
+                defs = [
+                    c for c in dict.fromkeys(map(frozenset, defs))
+                    if not any(-lit in c for lit in c)
+                ]
             first = len(self.store.clauses)
-            for clause in dict.fromkeys(map(frozenset, defs)):
-                if not _tautologous(clause):
-                    self.store.add(clause)
+            for clause in defs:
+                self.store.add(clause)
             self._defs[out] = (
                 range(first, len(self.store.clauses)), (abs(left), abs(right))
             )
@@ -201,10 +206,6 @@ class CnfBuilder:
             atoms={var: self._sig.atom_at(var - 1) for var in reached},
             aux=frozenset(reached & self._defs.keys()),
         )
-
-
-def _tautologous(clause: Clause) -> bool:
-    return any(-lit in clause for lit in clause)
 
 
 def clausify(formulas: Sequence[Formula], signature: Signature) -> ClauseSet:

@@ -5,24 +5,30 @@ applied to constants and variables; identifiers starting with an upper-case
 letter are variables, everything else names a predicate or constant.  The
 connectives, from tightest to loosest, are `-` (negation), `&`, `|`, `->`
 (right associative) and `<->`.  Statements in multi-formula input each end
-with a period, and `#` starts a comment that runs to end of line.
+with a period, and `#` starts a comment that runs to end of line.  The
+lexer reads a text in one scan.
 
-A formula whose atoms contain no variables is ground.  Formulas with
-variables are schemas: they stand for the set of ground instances obtained by
-substituting declared constants for variables in every combination, which is
-the only quantification the language supports (implicit universal prefixes).
+A formula whose atoms contain no variables is ground, and every node records
+whether it is when it is made.  Formulas with variables are schemas: they
+stand for the set of ground instances obtained by substituting declared
+constants for variables in every combination, which is the only
+quantification the language supports (implicit universal prefixes).
 
-The Signature owns every name.  It also acts as the atom registry: each
-distinct ground atom receives a dense integer index in first-seen order, and
-those indices drive clause literals and the branching order of the
-satisfiability engine, so index assignment is append-only.
+The Signature owns every name and keeps one node per distinct atom, which
+the parser and grounding take their atoms from, so equal atoms are one
+object.  It also acts as the atom registry: each distinct ground atom
+receives a dense integer index in first-seen order, and those indices drive
+clause literals and the branching order of the satisfiability engine, so
+index assignment is append-only.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+)
 
 from .errors import (
     ArityMismatch,
@@ -47,8 +53,9 @@ class Record:
     its fields, prints as `Name(field=value, ...)`, and refuses assignment
     and deletion with AttributeError.  A subclass with checks defines its
     own `__init__` and sets fields with `object.__setattr__`.  Formula
-    nodes compute their hash once, at construction, from their children's
-    kept hashes, and copy and pickle by calling their class on the fields.
+    nodes compute their hash and whether they are ground once, at
+    construction, from their children's kept values, and copy and pickle by
+    calling their class on the fields.
     """
 
     _fields: tuple[str, ...] = ()
@@ -121,6 +128,7 @@ class Atom(_Node):
         _set(self, "args", args)
         _set(self, "_key", (predicate, args))
         _set(self, "_hash", hash(self._key))
+        _set(self, "_ground", not any(map(is_variable, args)))
 
     def __str__(self) -> str:
         if not self.args:
@@ -135,6 +143,7 @@ class Not(_Node):
         _set(self, "operand", operand)
         _set(self, "_key", (operand,))
         _set(self, "_hash", hash(self._key))
+        _set(self, "_ground", operand._ground)
 
 
 class _Binary(_Node):
@@ -146,6 +155,7 @@ class _Binary(_Node):
         _set(self, "right", right)
         _set(self, "_key", (left, right))
         _set(self, "_hash", hash(self._key))
+        _set(self, "_ground", left._ground and right._ground)
 
 
 class And(_Binary):
@@ -235,23 +245,33 @@ def variables_of(formula: Formula) -> tuple[str, ...]:
 
 
 def is_ground(formula: Formula) -> bool:
-    return not variables_of(formula)
+    """Whether no atom of the formula has a variable; read off the node."""
+    return formula._ground
 
 
-def substitute(formula: Formula, binding: Mapping[str, str]) -> Formula:
-    """Replace variables by the names bound to them, leaving the rest alone."""
+def substitute(
+    formula: Formula,
+    binding: Mapping[str, str],
+    atom: Callable[[str, tuple[str, ...]], Atom] = Atom,
+) -> Formula:
+    """Replace variables by the names bound to them, leaving the rest alone.
+
+    Ground subformulas are returned as they are.  `atom` makes each
+    substituted atom; grounding passes `Signature.atom`, so that equal
+    instances of an atom are one node.
+    """
+    if formula._ground:
+        return formula
     if isinstance(formula, Atom):
-        if not formula.args:
-            return formula
-        return Atom(
+        return atom(
             formula.predicate,
-            tuple(binding.get(a, a) for a in formula.args),
+            tuple([binding.get(a, a) for a in formula.args]),
         )
     if isinstance(formula, Not):
-        return Not(substitute(formula.operand, binding))
+        return Not(substitute(formula.operand, binding, atom))
     return type(formula)(
-        substitute(formula.left, binding),
-        substitute(formula.right, binding),
+        substitute(formula.left, binding, atom),
+        substitute(formula.right, binding, atom),
     )
 
 
@@ -293,14 +313,17 @@ def print_formula(formula: Formula) -> str:
 
 
 class Signature:
-    """Declared predicates and constants, plus the ground-atom index registry.
+    """Declared predicates and constants, atom nodes and the index registry.
 
     Parsing text against a signature declares new predicates (with the
     arity of their first use) and new constants on sight, and checks the
     arities of known ones.
 
-    Indices for ground atoms, clausifiers' defining atoms among them, are
-    handed out densely in first-seen order and never change afterwards.
+    `atom` hands out one node per distinct predicate and arguments, checked
+    when it is made; the parser and grounding take their atoms from it.
+    Indices for ground atoms, clausifiers' defining atoms among them, are a
+    separate table: `register_formula` and `index_of` hand them out densely
+    in first-seen order, and they never change afterwards.
     """
 
     def __init__(
@@ -314,6 +337,7 @@ class Signature:
             self.declare_predicate(name, arity)
         for name in constants:
             self.declare_constant(name)
+        self._nodes: dict[tuple[str, tuple[str, ...]], Atom] = {}
         self._atom_index: dict[Atom, int] = {}
         self._atoms: list[Atom] = []
 
@@ -370,6 +394,16 @@ class Signature:
             if not is_variable(arg):
                 self.declare_constant(arg)
 
+    def atom(self, predicate: str, args: tuple[str, ...] = ()) -> Atom:
+        """The signature's one node for an atom, checked on first sight."""
+        key = (predicate, args)
+        node = self._nodes.get(key)
+        if node is None:
+            node = Atom(predicate, args)
+            self.check_atom(node)
+            self._nodes[key] = node
+        return node
+
     # -- atom registry ------------------------------------------------------
 
     def index_of(self, atom: Atom) -> int:
@@ -390,12 +424,14 @@ class Signature:
     def register_formula(self, formula: Formula) -> frozenset[Atom]:
         """Validate a formula's atoms and index the ground ones, left first.
 
-        Returns the atoms walked, the formula's `atoms_of`.
+        Atoms the signature made itself were checked then and are not
+        checked again.  Returns the atoms walked, the formula's `atoms_of`.
         """
         atoms = [node for node in walk(formula) if isinstance(node, Atom)]
         for atom in atoms:
-            self.check_atom(atom)
-            if not any(is_variable(a) for a in atom.args):
+            if self._nodes.get(atom._key) is not atom:
+                self.check_atom(atom)
+            if atom._ground:
                 self.index_of(atom)
         return frozenset(atoms)
 
@@ -417,8 +453,9 @@ _TOKEN_RE = re.compile(
     | (?P<COMMA>,)
     | (?P<DOT>\.)
     | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<ERROR>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -434,18 +471,17 @@ class _Token(Record):
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The text's tokens in one scan; every character falls in some group."""
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "ERROR":
             raise FormulaSyntaxError(
-                f"unexpected character {text[pos]!r}", pos
+                f"unexpected character {match.group()!r}", match.start()
             )
-        kind = match.lastgroup or ""
-        if kind != "SKIP":
-            tokens.append(_Token(kind, match.group(), pos))
-        pos = match.end()
+        tokens.append(_Token(kind, match.group(), match.start()))
     tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
@@ -547,9 +583,7 @@ class _Parser:
                 parts.append(self.expect("IDENT", "a constant or variable").text)
             self.expect("RPAREN", "')' or ','")
             args = tuple(parts)
-        atom = Atom(name, args)
-        self._sig.check_atom(atom)
-        return atom
+        return self._sig.atom(name, args)
 
 
 def parse_formula(text: str, signature: Optional[Signature] = None) -> Formula:
@@ -595,9 +629,9 @@ def ground(schema: Formula, signature: Signature) -> list[Formula]:
     list so the instance order, which downstream code turns into hypothesis
     indices, is reproducible.
     """
-    names = variables_of(schema)
-    if not names:
+    if is_ground(schema):
         return [schema]
+    names = variables_of(schema)
     constants = signature.constants
     if not constants:
         raise EmptyDomain(
@@ -605,5 +639,5 @@ def ground(schema: Formula, signature: Signature) -> list[Formula]:
         )
     out: list[Formula] = []
     for combo in itertools.product(constants, repeat=len(names)):
-        out.append(substitute(schema, dict(zip(names, combo))))
+        out.append(substitute(schema, dict(zip(names, combo)), signature.atom))
     return out

@@ -3,16 +3,19 @@
 The oracle answers every logic question by enumerating truth-table rows,
 with formulas encoded as row bitmasks.  It shares the syntax-tree types with
 the package but none of the decision machinery (no clause translation, no
-search), so the two routes can disagree whenever either is wrong.
+search), so the two routes can disagree whenever either is wrong.  A
+reference lexer that matches one token at a time is what the package's
+one-scan lexer is checked against.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from typing import Iterable, Optional, Sequence
 
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
-from lri import Formula, atoms_of
+from lri import Formula, FormulaSyntaxError, atoms_of
 
 ATOM_NAMES = "abcdefghijkl"
 
@@ -162,6 +165,36 @@ def _bits(selection: int):
             yield i
         selection >>= 1
         i += 1
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<SKIP>\s+|\#[^\n]*)
+    | (?P<IFF><->) | (?P<IMPLIES>->) | (?P<NOT>-) | (?P<AND>&) | (?P<OR>\|)
+    | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,) | (?P<DOT>\.)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, one match per position, then EOF."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        if match.lastgroup != "SKIP":
+            tokens.append((match.lastgroup, match.group(), pos))
+        pos = match.end()
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Formula language: parsing, printing, grounding, signatures."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -23,9 +25,9 @@ from lri import (
     parse_statements,
     print_formula,
 )
-from lri.formula import substitute, variables_of
+from lri.formula import _tokenize, substitute, variables_of, walk
 
-from bruteforce import make_atoms, random_formula
+from bruteforce import make_atoms, random_formula, reference_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,36 @@ def test_unlexable_character_is_positioned():
     with pytest.raises(FormulaSyntaxError) as info:
         parse_formula("p ? q", Signature())
     assert info.value.position == 2
+
+
+# Symbols of the grammar, comments and layout, and characters it refuses.
+LEXER_PIECES = [
+    "p", "q_1", "X", "_z", "holds", "(", ")", ",", ".", "-", "&", "|",
+    "->", "<->", "<", ">", " ", "\t", "\n", "\r\n", "# note", "#", "\xa0",
+    ":", "$", "@", "?", "1", "\u00e9", "\u03a9", "\u00df", "\\",
+]
+
+
+def _package_tokens(text):
+    return [(t.kind, t.text, t.position) for t in _tokenize(text)]
+
+
+def _lexed(lexer, text):
+    try:
+        return lexer(text)
+    except FormulaSyntaxError as err:
+        return ("error", str(err), err.position)
+
+
+def test_lexer_matches_one_match_per_position():
+    rng = random.Random(13)
+    errors = 0
+    for _ in range(3000):
+        text = "".join(rng.choices(LEXER_PIECES, k=rng.randint(0, 14)))
+        found = _lexed(_package_tokens, text)
+        assert found == _lexed(reference_tokens, text), repr(text)
+        errors += found[0] == "error"
+    assert 300 < errors < 2700
 
 
 def test_open_signature_declares_on_sight():
@@ -209,6 +241,53 @@ def test_ground_empty_domain():
         ground(schema, sig)
 
 
+def _schema_atoms():
+    names = ["a", "b", "X", "Y"]
+    return [Atom("p")] + [
+        Atom(predicate, (first, second))
+        for predicate in ("r", "s")
+        for first in names
+        for second in names
+    ]
+
+
+def _ground_flags_hold(formula):
+    return all(
+        is_ground(node) == (not variables_of(node)) for node in walk(formula)
+    )
+
+
+def test_groundness_is_kept_on_every_node():
+    rng = random.Random(5)
+    sig = Signature(constants=["a", "b"])
+    atoms = _schema_atoms()
+    for _ in range(300):
+        f = random_formula(rng, atoms, depth=3)
+        bound = rng.sample("XY", rng.randint(0, 2))
+        binding = {v: rng.choice("ab") for v in bound}
+        made = [
+            f,
+            substitute(f, binding),
+            substitute(f, binding, sig.atom),
+            copy.copy(f),
+            copy.deepcopy(f),
+            pickle.loads(pickle.dumps(f)),
+            *ground(f, sig),
+        ]
+        for g in made:
+            assert _ground_flags_hold(g), print_formula(g)
+        assert all(is_ground(g) for g in made[6:])
+
+
+def test_grounding_shares_atom_nodes():
+    sig = Signature(constants=["a", "b"])
+    schema = parse_formula("r(X, a) -> (p & r(a, X))", sig)
+    first, second = ground(schema, sig)
+    assert first.right.right is first.left is sig.atom("r", ("a", "a"))
+    assert first.right.left is second.right.left is parse_formula("p", sig)
+    assert second.left is sig.atom("r", ("b", "a"))
+
+
 def test_substitute_and_groundness():
     sig = Signature(constants=["a"])
     schema = parse_formula("holds(X) & p", sig)
@@ -253,3 +332,13 @@ def test_atom_indices_are_dense_and_first_seen():
     assert sig.index_of(Atom("b")) == 0
     assert sig.registered_atoms() == (Atom("b"), Atom("a"))
     assert sig.atom_at(1) == Atom("a")
+
+
+def test_registering_checks_atoms_the_signature_did_not_make():
+    sig = Signature()
+    parse_formula("p(a) & q", sig)
+    with pytest.raises(ArityMismatch):
+        sig.register_formula(Atom("p"))
+    sig.register_formula(And(Atom("q"), Atom("r", ("b",))))
+    assert sig.predicates == (("p", 1), ("q", 0), ("r", 1))
+    assert sig.constants == ("a", "b")

@@ -1,9 +1,26 @@
 """Knowledge-base files: parsing, constants, grounding, and round-trips."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from lri import FormulaSyntaxError, UnknownSymbol, parse_formula, print_formula
+import lri.formula
+from lri import (
+    Atom,
+    FormulaSyntaxError,
+    Not,
+    UnknownSymbol,
+    parse_formula,
+    print_formula,
+)
+from lri.cnf import is_aux
+from lri.formula import walk
 from lri.kb import dump_domain, dumps, load, loads, save
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted((ROOT / "tests" / "data" / "golden").glob("*.lri"))
+FILES += sorted((ROOT / "samples").glob("*.lri"))
 
 PERMIT_TEXT = """\
 # environmental permit scenario
@@ -230,3 +247,60 @@ def test_domain_passes_decision_budget():
     kb = loads(PERMIT_TEXT)
     domain = kb.domain(max_decisions=123)
     assert domain.max_decisions == 123
+
+
+# ---------------------------------------------------------------------------
+# Shared atoms and the cost of loading
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_equal_atoms_are_the_signatures_one_node(path):
+    base = load(str(path))
+    for formula in base.axioms + base.hypotheses + base.queries:
+        for node in walk(formula):
+            if isinstance(node, Atom):
+                assert base.signature.atom(node.predicate, node.args) is node
+
+
+def _atoms_left_first(formula):
+    if isinstance(formula, Atom):
+        return [formula]
+    if isinstance(formula, Not):
+        return _atoms_left_first(formula.operand)
+    return _atoms_left_first(formula.left) + _atoms_left_first(formula.right)
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+def test_rule_atoms_are_registered_in_stated_order_left_first(path):
+    base = load(str(path))
+    domain = base.domain()
+    expected = tuple(dict.fromkeys(
+        atom
+        for rule in domain.axioms + domain.hypotheses
+        for atom in _atoms_left_first(rule)
+    ))
+    registered = base.signature.registered_atoms()
+    assert registered[: len(expected)] == expected
+    assert all(is_aux(atom) for atom in registered[len(expected):])
+
+
+def test_a_ground_base_loads_and_builds_in_one_walk_per_rule(monkeypatch):
+    calls: Counter = Counter()
+    for name in ("walk", "variables_of"):
+        real = getattr(lri.formula, name)
+
+        def counted(formula, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(formula)
+
+        monkeypatch.setattr(lri.formula, name, counted)
+    text = "axioms:\n" + "".join(f"  p{i} & e{i}.\n" for i in range(5))
+    text += "hypotheses:\n" + "".join(
+        f"  p{i} -> q{i}.\n  e{i} -> -q{i}.\n" for i in range(5)
+    )
+    text += "queries:\n  q0.\n  -q1 | q2.\n"
+    domain = loads(text).domain()
+    assert len(domain.axioms + domain.hypotheses) == 15
+    assert calls["variables_of"] == 0
+    assert 0 < calls["walk"] <= 15

@@ -197,16 +197,22 @@ def test_formulas_copy_and_pickle():
 
 def test_a_formula_pickled_under_another_hash_seed_hashes_afresh():
     # String hashes differ between processes, so a formula's kept hash must
-    # be computed again where it is loaded.
-    text = "(p(a) & -q) -> (r <-> p(b)) | q"
+    # be computed again where it is loaded; its kept groundness comes along.
+    texts = ["(p(a) & -q) -> (r <-> p(b)) | q", "r(X, a) & -q -> p(Y) | q"]
     write = (
         "import pickle, sys; from lri import parse_formula; "
-        f"sys.stdout.buffer.write(pickle.dumps(parse_formula({text!r})))"
+        f"sys.stdout.buffer.write(pickle.dumps([parse_formula(t) for t in {texts!r}]))"
     )
     read = (
-        "import pickle, sys; from lri import parse_formula; "
-        f"f = pickle.loads(sys.stdin.buffer.read()); g = parse_formula({text!r}); "
-        "assert f == g and hash(f) == hash(g) and {g: 1}[f] == 1"
+        "import pickle, sys; from lri import is_ground, parse_formula; "
+        "from lri.formula import variables_of, walk; "
+        "fs = pickle.loads(sys.stdin.buffer.read()); "
+        f"gs = [parse_formula(t) for t in {texts!r}]\n"
+        "assert len(fs) == len(gs)\n"
+        "for f, g in zip(fs, gs):\n"
+        "    assert f == g and hash(f) == hash(g) and {g: 1}[f] == 1\n"
+        "    assert all(is_ground(n) == (not variables_of(n)) for n in walk(f))\n"
+        "    assert is_ground(f) == (g is gs[0])"
     )
     data = subprocess.run(
         [sys.executable, "-c", write],
