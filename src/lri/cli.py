@@ -7,8 +7,10 @@ carry the same seven fields (command, input, verdict, positions,
 justifications, contexts, diagnostics) and are serialized with sorted keys,
 so equal inputs produce byte-identical output.
 
-Exit codes: 0 success; 2 input could not be parsed or loaded, or the
-library refused an argument (ValueError); 3 the axiom set itself is
+Exit codes: 0 success; 2 input could not be parsed or loaded, a formula is
+nested too deeply for the recursive walkers, the library refused an argument
+(ValueError), or the command line is malformed (argparse usage errors, a
+negative `--max-decisions` among them); 3 the axiom set itself is
 inconsistent; 4 the decision budget was exceeded; 5 a query
 formula grounds to more than one instance; 6 invalid component indices.
 
@@ -76,8 +78,14 @@ class _InputError(LriError):
     """Bad command input that is not a grammar-level syntax error."""
 
 
+# What a command reports as an error document instead of a traceback.
+_USER_ERRORS = (LriError, OSError, ValueError, RecursionError)
+
+
 def _as_lri_error(err: Exception) -> LriError:
-    """A refused library argument or a failed file access is an input error."""
+    """A refused argument, failed file access or too deep a formula as input."""
+    if isinstance(err, RecursionError):
+        return _InputError("formula nested too deeply")
     return err if isinstance(err, LriError) else _InputError(str(err))
 
 
@@ -510,7 +518,7 @@ class ReplSession:
         rest = rest.strip()
         try:
             return self._dispatch(word, rest)
-        except (LriError, OSError, ValueError) as err:
+        except _USER_ERRORS as err:
             return _error_doc(word, {"text": rest}, _as_lri_error(err))
 
     def _dispatch(self, word: str, rest: str) -> Optional[dict]:
@@ -685,10 +693,23 @@ def _arg(name: str, **options) -> tuple[str, dict]:
     return name, options
 
 
+def _budget(text: str) -> int:
+    """A decision budget: a whole number, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"invalid budget value: {text!r} (expected 0 or more)"
+        )
+    return value
+
+
 _COMMON_OPTIONS = (
     _arg("--pretty", action="store_true",
          help="human-readable output on stdout instead of JSON"),
-    _arg("--max-decisions", type=int, metavar="N",
+    _arg("--max-decisions", type=_budget, metavar="N",
          help="decision budget per question"),
 )
 _FILE = _arg("file")
@@ -822,7 +843,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     code = EXIT_OK
     try:
         doc = _VERBS[args.command].run(args)
-    except (LriError, OSError, ValueError) as err:
+    except _USER_ERRORS as err:
         err = _as_lri_error(err)
         doc = _error_doc(args.command, {}, err)
         code = _exit_code_for(err)

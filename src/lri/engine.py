@@ -136,6 +136,7 @@ class DomainOfRules:
         self._hyp_tops = tuple(tops[first_hyp:])
         self._rules_only = self._builder.mark()
         self._asked: Optional[Formula] = None
+        self._touched: frozenset[int] = frozenset()
         self._countered: dict[frozenset[int], bool] = {}
 
         self._islands: list[_Island] = []
@@ -183,12 +184,22 @@ class DomainOfRules:
             self.hypotheses[i] for i in sorted(chosen)
         )
 
-    def _parts(self, chosen: frozenset[int]) -> dict[int, frozenset[int]]:
-        """The selection split by island, for the islands it touches."""
+    def _parts_consistent(
+        self, chosen: frozenset[int], skipped: frozenset[int] = frozenset()
+    ) -> bool:
+        """Whether each island's part of the selection fits its axioms.
+
+        Islands in `skipped` are not asked; the others are, in island order.
+        """
         parts: dict[int, set[int]] = {}
         for i in chosen:
-            parts.setdefault(self._island_of_hyp[i], set()).add(i)
-        return {number: frozenset(parts[number]) for number in sorted(parts)}
+            number = self._island_of_hyp[i]
+            if number not in skipped:
+                parts.setdefault(number, set()).add(i)
+        return all(
+            self._island_consistent(number, frozenset(parts[number]))
+            for number in sorted(parts)
+        )
 
     def _islands_of(self, formula: Formula) -> frozenset[int]:
         """Islands sharing an atom with the formula."""
@@ -258,10 +269,7 @@ class DomainOfRules:
         island were found consistent at construction.
         """
         self._question()
-        return all(
-            self._island_consistent(number, part)
-            for number, part in self._parts(chosen).items()
-        )
+        return self._parts_consistent(chosen)
 
     def selection_entails(
         self, chosen: frozenset[int], conclusion: Formula
@@ -274,19 +282,21 @@ class DomainOfRules:
         the selection, which shares no atom with it, entails the conclusion
         only by being inconsistent.
 
-        The domain remembers the latest conclusion asked only: the
-        clausifier keeps its definitions as the top layer of the clause
-        store, and whether each refutation found a counter-model is kept by
-        the part it depended on.  Asking another conclusion drops both, so a long-lived
-        domain keeps its size, while asking the same conclusion of many
-        selections, or asking it again, searches once per distinct part.
+        The domain remembers the latest conclusion asked only: the islands
+        it touches, the clausifier's definitions of it as the top layer of
+        the clause store, and whether each refutation found a counter-model,
+        kept by the part it depended on.  Asking another conclusion replaces
+        all three, so a long-lived domain keeps its size, while asking the
+        same conclusion of many selections, or asking it again, walks it
+        once and searches once per distinct part.
         """
         self._question()
         if conclusion != self._asked:
             self._builder.rollback(self._rules_only)
             self._countered.clear()
+            self._touched = self._islands_of(conclusion)
             self._asked = conclusion
-        touched = self._islands_of(conclusion)
+        touched = self._touched
         inside = frozenset(
             i for i in chosen if self._island_of_hyp[i] in touched
         )
@@ -299,13 +309,7 @@ class DomainOfRules:
             tops += [self._hyp_tops[i] for i in sorted(inside)]
             tops.append(-self._builder.add(conclusion))
             countered = self._countered[inside] = self._satisfiable(tops)
-        if not countered:
-            return True
-        return not all(
-            self._island_consistent(number, part)
-            for number, part in self._parts(chosen).items()
-            if number not in touched
-        )
+        return not countered or not self._parts_consistent(chosen, touched)
 
 
 def _require_ground(formula: Formula, role: str) -> None:

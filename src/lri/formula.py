@@ -4,9 +4,12 @@ The language is function free.  An atom is a propositional name or a predicate
 applied to constants and variables; identifiers starting with an upper-case
 letter are variables, everything else names a predicate or constant.  The
 connectives, from tightest to loosest, are `-` (negation), `&`, `|`, `->`
-(right associative) and `<->`.  Statements in multi-formula input each end
-with a period, and `#` starts a comment that runs to end of line.  The
-lexer reads a text in one scan.
+and `<->`; the last two group to the right.  Statements in multi-formula
+input each end with a period, and `#` starts a comment that runs to end of
+line.  The lexer reads a text in one scan into `(kind, text, position)`
+tuples.  The parser climbs precedence: one table gives each binary
+connective its node class, binding power and grouping, and one loop reads
+it, so a level of parentheses costs the parser two Python frames.
 
 A formula whose atoms contain no variables is ground, and every node records
 whether it is when it is made.  Formulas with variables are schemas: they
@@ -459,20 +462,22 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(Record):
-    kind: str
-    text: str
-    position: int
+# Binary connectives by token kind: node class, binding power, and whether
+# the connective groups to the right.  `-` binds tighter than all of them.
+_BINARY_OPS = {
+    "IFF": (Iff, 1, True),
+    "IMPLIES": (Implies, 2, True),
+    "OR": (Or, 3, False),
+    "AND": (And, 4, False),
+}
 
-    def __init__(self, kind: str, text: str, position: int) -> None:
-        _set(self, "kind", kind)
-        _set(self, "text", text)
-        _set(self, "position", position)
 
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token in one scan, then EOF.
 
-def _tokenize(text: str) -> list[_Token]:
-    """The text's tokens in one scan; every character falls in some group."""
-    tokens: list[_Token] = []
+    Every character falls in some group of the pattern.
+    """
+    tokens: list[tuple[str, str, int]] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "SKIP":
@@ -481,123 +486,89 @@ def _tokenize(text: str) -> list[_Token]:
             raise FormulaSyntaxError(
                 f"unexpected character {match.group()!r}", match.start()
             )
-        tokens.append(_Token(kind, match.group(), match.start()))
-    tokens.append(_Token("EOF", "", len(text)))
+        tokens.append((kind, match.group(), match.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
+def _unexpected(
+    token: tuple[str, str, int], expected: str
+) -> FormulaSyntaxError:
+    """The error for a token the grammar does not allow where it stands."""
+    kind, text, position = token
+    return FormulaSyntaxError(
+        f"unexpected token {text!r}" if kind != "EOF"
+        else "unexpected end of input",
+        position,
+        expected,
+    )
+
+
 class _Parser:
-    """Recursive descent over the token stream, one formula at a time."""
+    """Precedence climbing over the token stream, one formula at a time."""
 
-    def __init__(self, tokens: Sequence[_Token], signature: Signature) -> None:
-        self._tokens = tokens
+    def __init__(self, text: str, signature: Optional[Signature]) -> None:
+        self._tokens = _tokenize(text)
         self._pos = 0
-        self._sig = signature
+        self._sig = signature if signature is not None else Signature()
 
-    def peek(self) -> _Token:
-        return self._tokens[self._pos]
+    def take(
+        self, kind: str, expected: str = ""
+    ) -> Optional[tuple[str, str, int]]:
+        """The next token, consumed, if it is of this kind.
 
-    def take(self) -> _Token:
+        Otherwise None, or, when something was `expected`, the error naming
+        it.
+        """
         token = self._tokens[self._pos]
-        self._pos += 1
-        return token
+        if token[0] == kind:
+            self._pos += 1
+            return token
+        if expected:
+            raise _unexpected(token, expected)
+        return None
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise FormulaSyntaxError(
-                f"unexpected token {token.text!r}" if token.kind != "EOF"
-                else "unexpected end of input",
-                token.position,
-                expected,
-            )
-        return self.take()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
-
-    # precedence, loosest first: IFF, IMPLIES, OR, AND, NOT
-
-    def formula(self) -> Formula:
-        left = self.implication()
-        if self.peek().kind == "IFF":
-            self.take()
-            return Iff(left, self.formula())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "IMPLIES":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        node = self.conjunction()
-        while self.peek().kind == "OR":
-            self.take()
-            node = Or(node, self.conjunction())
-        return node
-
-    def conjunction(self) -> Formula:
+    def formula(self, floor: int = 1) -> Formula:
+        """The longest formula whose connectives bind at least floor tightly."""
         node = self.unary()
-        while self.peek().kind == "AND":
-            self.take()
-            node = And(node, self.unary())
-        return node
+        while True:
+            op = _BINARY_OPS.get(self._tokens[self._pos][0])
+            if op is None or op[1] < floor:
+                return node
+            self._pos += 1
+            cls, power, right = op
+            node = cls(node, self.formula(power if right else power + 1))
 
     def unary(self) -> Formula:
-        token = self.peek()
-        if token.kind == "NOT":
-            self.take()
+        if self.take("NOT"):
             return Not(self.unary())
-        if token.kind == "LPAREN":
-            self.take()
+        if self.take("LPAREN"):
             inner = self.formula()
-            self.expect("RPAREN", "')'")
+            self.take("RPAREN", "')'")
             return inner
-        if token.kind == "IDENT":
-            return self.atom()
-        raise FormulaSyntaxError(
-            f"unexpected token {token.text!r}" if token.kind != "EOF"
-            else "unexpected end of input",
-            token.position,
-            "an atom, '-', or '('",
-        )
-
-    def atom(self) -> Atom:
-        name_token = self.expect("IDENT", "a predicate name")
-        name = name_token.text
+        _, name, position = self.take("IDENT", "an atom, '-', or '('")
         if is_variable(name):
             raise FormulaSyntaxError(
                 f"variable {name!r} cannot stand alone as a formula",
-                name_token.position,
+                position,
                 "a predicate name (lower-case initial)",
             )
         args: tuple[str, ...] = ()
-        if self.peek().kind == "LPAREN":
-            self.take()
-            parts = [self.expect("IDENT", "a constant or variable").text]
-            while self.peek().kind == "COMMA":
-                self.take()
-                parts.append(self.expect("IDENT", "a constant or variable").text)
-            self.expect("RPAREN", "')' or ','")
+        if self.take("LPAREN"):
+            parts = [self.take("IDENT", "a constant or variable")[1]]
+            while self.take("COMMA"):
+                parts.append(self.take("IDENT", "a constant or variable")[1])
+            self.take("RPAREN", "')' or ','")
             args = tuple(parts)
         return self._sig.atom(name, args)
 
 
 def parse_formula(text: str, signature: Optional[Signature] = None) -> Formula:
     """Parse a single formula; an optional trailing period is accepted."""
-    sig = signature if signature is not None else Signature()
-    parser = _Parser(_tokenize(text), sig)
+    parser = _Parser(text, signature)
     node = parser.formula()
-    if parser.peek().kind == "DOT":
-        parser.take()
-    if not parser.at_end():
-        token = parser.peek()
-        raise FormulaSyntaxError(
-            f"unexpected token {token.text!r}", token.position, "end of input"
-        )
+    parser.take("DOT")
+    parser.take("EOF", "end of input")
     return node
 
 
@@ -605,12 +576,11 @@ def parse_statements(
     text: str, signature: Optional[Signature] = None
 ) -> list[Formula]:
     """Parse zero or more period-terminated formulas."""
-    sig = signature if signature is not None else Signature()
-    parser = _Parser(_tokenize(text), sig)
+    parser = _Parser(text, signature)
     out: list[Formula] = []
-    while not parser.at_end():
+    while not parser.take("EOF"):
         out.append(parser.formula())
-        parser.expect("DOT", "'.' after the statement")
+        parser.take("DOT", "'.' after the statement")
     return out
 
 

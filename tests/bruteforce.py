@@ -5,7 +5,9 @@ with formulas encoded as row bitmasks.  It shares the syntax-tree types with
 the package but none of the decision machinery (no clause translation, no
 search), so the two routes can disagree whenever either is wrong.  A
 reference lexer that matches one token at a time is what the package's
-one-scan lexer is checked against.
+one-scan lexer is checked against, and a recursive-descent parser with one
+method per precedence level over its tokens is what the package's parser is
+checked against.
 """
 
 from __future__ import annotations
@@ -195,6 +197,132 @@ def reference_tokens(text: str) -> list[tuple[str, str, int]]:
         pos = match.end()
     tokens.append(("EOF", "", len(text)))
     return tokens
+
+
+class ReferenceParser:
+    """Recursive descent over `reference_tokens`, one method per level.
+
+    Precedence, loosest first: `<->` and `->` (both grouping to the right),
+    then `|` and `&` (both grouping to the left), then `-`.  Atoms come from
+    the signature, so declarations and their errors follow the package's.
+    """
+
+    def __init__(self, text: str, signature: Signature) -> None:
+        self._tokens = reference_tokens(text)
+        self._pos = 0
+        self._sig = signature
+
+    def peek(self) -> tuple[str, str, int]:
+        return self._tokens[self._pos]
+
+    def take(self) -> tuple[str, str, int]:
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def expect(self, kind: str, expected: str) -> tuple[str, str, int]:
+        token = self.peek()
+        if token[0] != kind:
+            raise FormulaSyntaxError(
+                f"unexpected token {token[1]!r}" if token[0] != "EOF"
+                else "unexpected end of input",
+                token[2],
+                expected,
+            )
+        return self.take()
+
+    def at_end(self) -> bool:
+        return self.peek()[0] == "EOF"
+
+    def formula(self) -> Formula:
+        left = self.implication()
+        if self.peek()[0] == "IFF":
+            self.take()
+            return Iff(left, self.formula())
+        return left
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        if self.peek()[0] == "IMPLIES":
+            self.take()
+            return Implies(left, self.implication())
+        return left
+
+    def disjunction(self) -> Formula:
+        node = self.conjunction()
+        while self.peek()[0] == "OR":
+            self.take()
+            node = Or(node, self.conjunction())
+        return node
+
+    def conjunction(self) -> Formula:
+        node = self.unary()
+        while self.peek()[0] == "AND":
+            self.take()
+            node = And(node, self.unary())
+        return node
+
+    def unary(self) -> Formula:
+        kind, text, position = self.peek()
+        if kind == "NOT":
+            self.take()
+            return Not(self.unary())
+        if kind == "LPAREN":
+            self.take()
+            inner = self.formula()
+            self.expect("RPAREN", "')'")
+            return inner
+        if kind == "IDENT":
+            return self.atom()
+        raise FormulaSyntaxError(
+            f"unexpected token {text!r}" if kind != "EOF"
+            else "unexpected end of input",
+            position,
+            "an atom, '-', or '('",
+        )
+
+    def atom(self) -> Atom:
+        _, name, position = self.expect("IDENT", "a predicate name")
+        if name[:1].isupper():
+            raise FormulaSyntaxError(
+                f"variable {name!r} cannot stand alone as a formula",
+                position,
+                "a predicate name (lower-case initial)",
+            )
+        args: tuple[str, ...] = ()
+        if self.peek()[0] == "LPAREN":
+            self.take()
+            parts = [self.expect("IDENT", "a constant or variable")[1]]
+            while self.peek()[0] == "COMMA":
+                self.take()
+                parts.append(self.expect("IDENT", "a constant or variable")[1])
+            self.expect("RPAREN", "')' or ','")
+            args = tuple(parts)
+        return self._sig.atom(name, args)
+
+
+def reference_formula(text: str, signature: Signature) -> Formula:
+    """One formula, an optional period, then the end of the text."""
+    parser = ReferenceParser(text, signature)
+    node = parser.formula()
+    if parser.peek()[0] == "DOT":
+        parser.take()
+    if not parser.at_end():
+        _, token_text, position = parser.peek()
+        raise FormulaSyntaxError(
+            f"unexpected token {token_text!r}", position, "end of input"
+        )
+    return node
+
+
+def reference_statements(text: str, signature: Signature) -> list[Formula]:
+    """Zero or more formulas, each ended by a period."""
+    parser = ReferenceParser(text, signature)
+    out: list[Formula] = []
+    while not parser.at_end():
+        out.append(parser.formula())
+        parser.expect("DOT", "'.' after the statement")
+    return out
 
 
 # ---------------------------------------------------------------------------

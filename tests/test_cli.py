@@ -317,6 +317,35 @@ def test_unique_option_prefix_names_the_option(capsys, permit_file, budget):
     assert (code, doc) == full[:2]
 
 
+@pytest.mark.parametrize("budget", [["--max-decisions", "-1"], ["--max=-1"]])
+def test_negative_budget_is_a_usage_error(capsys, permit_file, budget):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["check", *budget, permit_file])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lri check")
+    assert "argument --max-decisions: invalid budget value: '-1'" in err
+
+
+# a deep nest of parentheses, and a disjunction too long to translate
+DEEP_RULES = [
+    "(" * 2000 + "p" + ")" * 2000,
+    " | ".join(f"p{i}" for i in range(3000)),
+]
+
+
+@pytest.mark.parametrize("rule", DEEP_RULES, ids=["parentheses", "disjunction"])
+def test_too_deep_a_formula_exits_2(capsys, tmp_path, rule):
+    path = tmp_path / "deep.lri"
+    path.write_text(f"hypotheses:\n    {rule}.\n", encoding="utf-8")
+    for verb in ("check", "positions"):
+        code, doc, _ = run_json(capsys, verb, str(path))
+        assert code == 2
+        assert doc["diagnostics"] == {
+            "error": "InputError", "message": "formula nested too deeply",
+        }
+
+
 def test_multiple_groundings_exit_5(capsys, tmp_path):
     path = tmp_path / "pair.lri"
     path.write_text(
@@ -539,6 +568,18 @@ def test_repl_refused_constant_leaves_the_session_usable(tmp_path):
     target = tmp_path / "out.lri"
     session.handle(f"save {target}")
     assert target.read_text(encoding="utf-8").splitlines()[0] == "constants: a b"
+
+
+@pytest.mark.parametrize("rule", DEEP_RULES, ids=["parentheses", "disjunction"])
+def test_repl_too_deep_a_formula_leaves_the_session_usable(rule):
+    session = _session()
+    for command in ("infer", "assert-ax", "assert-hyp"):
+        doc = session.handle(f"{command} {rule}")
+        assert doc["diagnostics"] == {
+            "error": "InputError", "message": "formula nested too deeply",
+        }
+    assert session.handle("infer perm")["verdict"] == "reasonable"
+    assert session.handle("positions")["verdict"] == {"count": 3}
 
 
 def test_repl_errors_leave_state_intact():

@@ -14,6 +14,7 @@ from lri import (
     FormulaSyntaxError,
     Iff,
     Implies,
+    LriError,
     Not,
     Or,
     Signature,
@@ -27,7 +28,13 @@ from lri import (
 )
 from lri.formula import _tokenize, substitute, variables_of, walk
 
-from bruteforce import make_atoms, random_formula, reference_tokens
+from bruteforce import (
+    make_atoms,
+    random_formula,
+    reference_formula,
+    reference_statements,
+    reference_tokens,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +125,6 @@ LEXER_PIECES = [
 ]
 
 
-def _package_tokens(text):
-    return [(t.kind, t.text, t.position) for t in _tokenize(text)]
-
-
 def _lexed(lexer, text):
     try:
         return lexer(text)
@@ -134,10 +137,93 @@ def test_lexer_matches_one_match_per_position():
     errors = 0
     for _ in range(3000):
         text = "".join(rng.choices(LEXER_PIECES, k=rng.randint(0, 14)))
-        found = _lexed(_package_tokens, text)
+        found = _lexed(_tokenize, text)
         assert found == _lexed(reference_tokens, text), repr(text)
         errors += found[0] == "error"
     assert 300 < errors < 2700
+
+
+# Names (an upper-case initial is a variable) and every grammar symbol.
+PARSER_PIECES = [
+    "p", "q", "holds", "a", "b", "X", "Y", "-", "&", "|", "->", "<->",
+    "(", ")", ",", ".", " ",
+]
+
+
+def _formula_text(rng, depth):
+    """A well-formed formula, sometimes with arities or roles that clash."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.05:
+            return rng.choice(["a", "holds", "holds(a)", "p(b)"])
+        if rng.random() < 0.3:
+            return f"holds({', '.join(rng.choices('abXY', k=2))})"
+        return rng.choice(["p", "q", "r"])
+    if roll < 0.45:
+        return "-" + _formula_text(rng, depth - 1)
+    if roll < 0.55:
+        return "(" + _formula_text(rng, depth - 1) + ")"
+    op = rng.choice(["&", "|", "->", "<->"])
+    left = _formula_text(rng, depth - 1)
+    return f"{left} {op} {_formula_text(rng, depth - 1)}"
+
+
+def _parser_input(rng):
+    """Random pieces, statements, truncated or spliced ones, deep nesting."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "".join(rng.choices(PARSER_PIECES, k=rng.randint(0, 12)))
+    count = rng.choice([1, 1, 1, 2, 3])
+    text = ". ".join(
+        _formula_text(rng, rng.randint(0, 5)) for _ in range(count)
+    ) + rng.choice(["", ".", " ."])
+    if kind == 2:
+        text = text[: rng.randint(0, len(text))]
+    elif kind == 3:
+        cut = rng.randint(0, len(text))
+        piece = " ".join(rng.choices(PARSER_PIECES, k=rng.randint(1, 2)))
+        text = text[:cut] + f" {piece} " + text[cut + rng.randint(0, 3):]
+    elif kind == 4:
+        depth = rng.randint(1, 150)
+        opening = "".join(rng.choices(["(", "-", "-("], k=depth))
+        closing = ")" * (opening.count("(") + rng.choice([0, 0, 0, -1, 1]))
+        text = opening + _formula_text(rng, 2) + closing
+    return text
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text, Signature())
+    except LriError as err:
+        return (type(err), str(err), getattr(err, "position", None),
+                getattr(err, "expected", None))
+
+
+def test_parser_matches_recursive_descent_reference():
+    rng = random.Random(14)
+    trees = errors = deep = 0
+    for _ in range(3000):
+        text = _parser_input(rng)
+        deep += text.count("(") >= 60
+        for parse, reference in (
+            (parse_formula, reference_formula),
+            (parse_statements, reference_statements),
+        ):
+            found = _parsed(parse, text)
+            assert found == _parsed(reference, text), repr(text)
+            if isinstance(found, tuple):
+                errors += 1
+            else:
+                trees += 1
+    assert trees > 1000 and errors > 1000 and deep > 100
+
+
+def test_deep_nesting_parses():
+    # a parenthesis level costs the parser two frames
+    assert parse_formula("(" * 300 + "p" + ")" * 300) == Atom("p")
+    assert parse_formula("-(" * 200 + "p" + ")" * 200) == parse_formula(
+        "-" * 200 + "p"
+    )
 
 
 def test_open_signature_declares_on_sight():

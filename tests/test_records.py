@@ -28,7 +28,6 @@ from lri import (
     parse_formula,
 )
 from lri.cnf import ClauseSet
-from lri.formula import _Token
 from lri.kb import KnowledgeBase
 from lri.sat import SatResult
 from lri.variety import DepthCheckResult, PartitionEdge, PartitionGraph, PartitionNode
@@ -50,7 +49,6 @@ RECORDS = [
     (Or, ("left", "right"), (P, Q)),
     (Implies, ("left", "right"), (P, Not(Q))),
     (Iff, ("left", "right"), (And(P, Q), Q)),
-    (_Token, ("kind", "text", "position"), ("IDENT", "p", 3)),
     (SatResult, ("satisfiable", "model", "decisions"), (False, None, 2)),
     (
         ClauseSet,
