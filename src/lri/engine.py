@@ -27,6 +27,13 @@ exactly when its part in each island is, so maximal positions are products
 of per-island maximal selections, and a conclusion depends only on the
 islands whose atoms it mentions.
 
+Maximal positions and justifications are two calls of one subset sweep,
+`_sweep`: an island's maximal selections are swept largest first, a
+conclusion's justifications smallest first, and either way a selection that
+contains, or lies inside, an accepted one is never asked about.  A
+conclusion is walked once, when the domain first asks it (`_ask`); the
+islands it touches are then read by every step of the question.
+
 Every search is a `sat.solve` over the domain's one clause store: it assumes
 the top literals of the rules (and the negated conclusion) a question needs,
 and only the clauses those literals reach take part.
@@ -35,7 +42,7 @@ and only the clauses those literals reach take part.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import sat
 from .cnf import CnfBuilder
@@ -52,8 +59,8 @@ from .formula import (
     Signature,
     atom_groups,
     atoms_of,
-    is_ground,
     print_formula,
+    require_ground,
 )
 
 # Context extraction enumerates justification choices per query formula, which
@@ -105,13 +112,13 @@ class DomainOfRules:
     ) -> None:
         self.axioms: tuple[Formula, ...] = tuple(dict.fromkeys(axioms))
         for formula in self.axioms:
-            _require_ground(formula, "axiom")
+            require_ground(formula, "axiom")
 
         hyp_list = list(hypotheses)
         axiom_set = set(self.axioms)
         seen: set[Formula] = set()
         for formula in hyp_list:
-            _require_ground(formula, "hypothesis")
+            require_ground(formula, "hypothesis")
             if formula in seen:
                 raise DuplicateHypothesis(
                     f"hypothesis repeated: {print_formula(formula)}"
@@ -201,14 +208,6 @@ class DomainOfRules:
             for number in sorted(parts)
         )
 
-    def _islands_of(self, formula: Formula) -> frozenset[int]:
-        """Islands sharing an atom with the formula."""
-        return frozenset(
-            self._island_of_atom[atom]
-            for atom in atoms_of(formula)
-            if atom in self._island_of_atom
-        )
-
     def _question(self) -> None:
         """Start a question: its searches share one decision budget.
 
@@ -245,21 +244,19 @@ class DomainOfRules:
     def _island_maximal(self, number: int) -> tuple[frozenset[int], ...]:
         """The island's maximal consistent selections, swept once.
 
-        Selections are tried largest first so that every accepted one prunes
-        its subsets; each consistency check is its own question.
+        The subset sweep tries selections largest first, so a consistent one
+        is maximal unless an accepted one contains it, and then it is never
+        asked; each consistency check is its own question.
         """
         island = self._islands[number]
         if island.maximal is None:
-            accepted: list[frozenset[int]] = []
-            for size in range(len(island.hypotheses), -1, -1):
-                for combo in itertools.combinations(island.hypotheses, size):
-                    selection = frozenset(combo)
-                    if any(selection <= bigger for bigger in accepted):
-                        continue
-                    self._question()
-                    if self._island_consistent(number, selection):
-                        accepted.append(selection)
-            island.maximal = tuple(accepted)
+
+            def fits(selection: frozenset[int]) -> bool:
+                self._question()
+                return self._island_consistent(number, selection)
+
+            sizes = range(len(island.hypotheses), -1, -1)
+            island.maximal = _sweep(island.hypotheses, sizes, fits)
         return island.maximal
 
     def consistent(self, chosen: frozenset[int]) -> bool:
@@ -270,6 +267,23 @@ class DomainOfRules:
         """
         self._question()
         return self._parts_consistent(chosen)
+
+    def _ask(self, conclusion: Formula) -> frozenset[int]:
+        """Make conclusion the latest one asked; the islands sharing its atoms.
+
+        Only a conclusion other than the latest replaces the remembered
+        state (see `selection_entails`), so each is walked once.
+        """
+        if conclusion != self._asked:
+            self._builder.rollback(self._rules_only)
+            self._countered.clear()
+            self._touched = frozenset(
+                self._island_of_atom[atom]
+                for atom in atoms_of(conclusion)
+                if atom in self._island_of_atom
+            )
+            self._asked = conclusion
+        return self._touched
 
     def selection_entails(
         self, chosen: frozenset[int], conclusion: Formula
@@ -291,12 +305,7 @@ class DomainOfRules:
         once and searches once per distinct part.
         """
         self._question()
-        if conclusion != self._asked:
-            self._builder.rollback(self._rules_only)
-            self._countered.clear()
-            self._touched = self._islands_of(conclusion)
-            self._asked = conclusion
-        touched = self._touched
+        touched = self._ask(conclusion)
         inside = frozenset(
             i for i in chosen if self._island_of_hyp[i] in touched
         )
@@ -310,14 +319,6 @@ class DomainOfRules:
             tops.append(-self._builder.add(conclusion))
             countered = self._countered[inside] = self._satisfiable(tops)
         return not countered or not self._parts_consistent(chosen, touched)
-
-
-def _require_ground(formula: Formula, role: str) -> None:
-    if not is_ground(formula):
-        raise ValueError(
-            f"{role} contains variables: {print_formula(formula)}; "
-            "ground it over the constant domain first"
-        )
 
 
 class Position(Record):
@@ -346,7 +347,7 @@ class Position(Record):
         return self.domain.selection_formulas(self.chosen)
 
     def entails(self, conclusion: Formula) -> bool:
-        _require_ground(conclusion, "conclusion")
+        require_ground(conclusion, "conclusion")
         return self.domain.selection_entails(self.chosen, conclusion)
 
 
@@ -390,6 +391,28 @@ def new_domain(
     if signature is None:
         signature = Signature()
     return DomainOfRules(axioms, hypotheses, signature, max_decisions)
+
+
+def _sweep(
+    items: Sequence[int],
+    sizes: Iterable[int],
+    accept: Callable[[frozenset[int]], bool],
+) -> tuple[frozenset[int], ...]:
+    """The subsets of items that accept takes, in the order they were tried.
+
+    Subsets are tried by the given sizes, then by index tuple; one that
+    contains, or lies inside, an accepted subset is skipped unasked.  Sizes
+    largest first give maximal selections, smallest first minimal ones.
+    """
+    accepted: list[frozenset[int]] = []
+    for size in sizes:
+        for combo in itertools.combinations(items, size):
+            selection = frozenset(combo)
+            if not any(
+                selection <= taken or taken <= selection for taken in accepted
+            ) and accept(selection):
+                accepted.append(selection)
+    return tuple(accepted)
 
 
 def _index_tuple(selection: frozenset[int]) -> tuple[int, ...]:
@@ -441,8 +464,8 @@ def reasonably_infers(
     the first entailing part over the touched islands with the first
     maximal selection of every other island, and no other position is built.
     """
-    _require_ground(conclusion, "conclusion")
-    touched = domain._islands_of(conclusion)
+    require_ground(conclusion, "conclusion")
+    touched = domain._ask(conclusion)
     part = next(
         (
             candidate
@@ -472,29 +495,26 @@ def justifications(
     """All minimal positions entailing the conclusion.
 
     A consistent selection entails the conclusion exactly when its part in
-    the islands sharing the conclusion's atoms does, so only those islands'
-    hypotheses are enumerated, smallest first and by index tuple.  A
-    selection is skipped when it extends an already-found justification
-    (not minimal) or fits inside no maximal selection of its islands
-    (inconsistent).  Survivors get one entailment check each.
+    the islands sharing the conclusion's atoms does, so the subset sweep
+    runs over only those islands' hypotheses, smallest first and by index
+    tuple.  It skips a selection that extends an already-found
+    justification (not minimal); a selection that fits inside no maximal
+    selection of its islands (inconsistent) is answered from the swept
+    islands without a search.  Survivors get one entailment check each.
     """
-    _require_ground(conclusion, "conclusion")
-    touched = sorted(domain._islands_of(conclusion))
+    require_ground(conclusion, "conclusion")
+    touched = sorted(domain._ask(conclusion))
     for number in touched:
         domain._island_maximal(number)
     candidates = sorted(
         i for number in touched for i in domain._islands[number].hypotheses
     )
-    found: list[frozenset[int]] = []
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            selection = frozenset(combo)
-            if any(small <= selection for small in found):
-                continue
-            if not domain.consistent(selection):
-                continue
-            if domain.selection_entails(selection, conclusion):
-                found.append(selection)
+    found = _sweep(
+        candidates,
+        range(len(candidates) + 1),
+        lambda selection: domain.consistent(selection)
+        and domain.selection_entails(selection, conclusion),
+    )
     return [
         Justification(conclusion, Position(domain, selection))
         for selection in found
@@ -551,7 +571,7 @@ def maximal_consistent_contexts(
     """
     query_list = list(queries)
     for q in query_list:
-        _require_ground(q, "query")
+        require_ground(q, "query")
     if len(set(query_list)) != len(query_list):
         raise ValueError("duplicate query formulas")
     if len(query_list) > MAX_CONTEXT_QUERIES:

@@ -252,6 +252,12 @@ def is_ground(formula: Formula) -> bool:
     return formula._ground
 
 
+def require_ground(formula: Formula, role: str) -> None:
+    """Refuse a formula with variables where the role needs a ground one."""
+    if not formula._ground:
+        raise ValueError(f"{role} not ground: {print_formula(formula)}")
+
+
 def substitute(
     formula: Formula,
     binding: Mapping[str, str],

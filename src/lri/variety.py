@@ -51,8 +51,8 @@ from .formula import (
     Signature,
     atom_groups,
     atoms_of,
-    is_ground,
     print_formula,
+    require_ground,
 )
 
 Label = Optional[Hashable]
@@ -73,10 +73,7 @@ class Calculus:
     def __init__(self, axioms: Iterable[Formula], signature: Signature) -> None:
         self.axioms = tuple(dict.fromkeys(axioms))
         for f in self.axioms:
-            if not is_ground(f):
-                raise ValueError(
-                    f"calculus axiom contains variables: {print_formula(f)}"
-                )
+            require_ground(f, "calculus axiom")
         self.signature = signature
 
     @property
@@ -184,8 +181,7 @@ class ProbeUniverse:
     def __init__(self, formulas: Iterable[Formula]) -> None:
         unique = tuple(dict.fromkeys(formulas))
         for f in unique:
-            if not is_ground(f):
-                raise ValueError(f"probe formula not ground: {print_formula(f)}")
+            require_ground(f, "probe formula")
         self.formulas = unique
 
     @classmethod

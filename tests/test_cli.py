@@ -5,12 +5,15 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from lri import cli, cnf, engine
 from lri.cli import ReplSession
 from lri.kb import loads
+
+PERMIT_SAMPLE = str(Path(__file__).resolve().parents[1] / "samples/permit.lri")
 
 PERMIT_TEXT = """\
 axioms:
@@ -325,6 +328,14 @@ def test_negative_budget_is_a_usage_error(capsys, permit_file, budget):
     err = capsys.readouterr().err
     assert err.startswith("usage: lri check")
     assert "argument --max-decisions: invalid budget value: '-1'" in err
+
+
+def test_non_integer_budget_is_a_usage_error(capsys, permit_file):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["check", "--max-decisions", "x", permit_file])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-decisions: invalid budget value: 'x'" in err
 
 
 # a deep nest of parentheses, and a disjunction too long to translate
@@ -684,6 +695,32 @@ def test_repl_failed_domain_build_is_not_kept(counts):
     assert first == second
     assert first["diagnostics"]["error"] == "InconsistentAxioms"
     assert counts["builds"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv,walks",
+    [
+        (["infer", PERMIT_SAMPLE, "perm"], 1),
+        (["justify", PERMIT_SAMPLE, "-perm"], 1),
+        (["context", PERMIT_SAMPLE], 2),
+    ],
+    ids=["infer", "justify", "context"],
+)
+def test_a_question_walks_its_conclusion_once(
+    capsys, monkeypatch, argv, walks
+):
+    """The domain finds a conclusion's islands once, for every reader."""
+    walked = []
+    real = engine.atoms_of
+
+    def counting(formula):
+        walked.append(formula)
+        return real(formula)
+
+    monkeypatch.setattr(engine, "atoms_of", counting)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(walked) == walks
 
 
 def test_no_question_assembles_a_clause_set(

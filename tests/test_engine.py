@@ -10,6 +10,7 @@ from lri import (
     And,
     Atom,
     AxiomHypothesisOverlap,
+    Calculus,
     Context,
     DuplicateHypothesis,
     InconsistentAxioms,
@@ -20,6 +21,7 @@ from lri import (
     Not,
     Or,
     Position,
+    ProbeUniverse,
     Signature,
     atoms_of,
     in_reasonable_theory,
@@ -83,6 +85,25 @@ def test_non_ground_rules_rejected():
     open_formula = parse_formula("acts(X)", sig)
     with pytest.raises(ValueError):
         new_domain([open_formula], [], sig)
+
+
+def test_every_groundness_check_names_its_role(permit_domain):
+    sig = permit_domain.signature
+    schema = parse_formula("acts(X)", sig)
+    position = maximal_positions(permit_domain)[0]
+    checks = [
+        ("axiom", lambda: new_domain([schema], [], sig)),
+        ("hypothesis", lambda: new_domain([], [schema], sig)),
+        ("conclusion", lambda: reasonably_infers(permit_domain, schema)),
+        ("conclusion", lambda: justifications(permit_domain, schema)),
+        ("conclusion", lambda: position.entails(schema)),
+        ("query", lambda: maximal_consistent_contexts(permit_domain, [schema])),
+        ("calculus axiom", lambda: Calculus([schema], sig)),
+        ("probe formula", lambda: ProbeUniverse([schema])),
+    ]
+    for role, check in checks:
+        with pytest.raises(ValueError, match=rf"^{role} not ground: acts\(X\)$"):
+            check()
 
 
 def test_empty_hypothesis_list_allowed():
@@ -436,6 +457,10 @@ def test_fresh_atom_never_inferred(permit_domain):
     fresh = parse_formula("unseen_before", permit_domain.signature)
     assert not reasonably_infers(permit_domain, fresh)
     assert justifications(permit_domain, fresh) == []
+
+
+def test_empty_context_is_vacuously_consistent():
+    assert is_consistent_context(Context(frozenset()))
 
 
 def test_context_union_is_consistent():

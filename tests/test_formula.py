@@ -18,6 +18,7 @@ from lri import (
     Not,
     Or,
     Signature,
+    UnknownSymbol,
     atoms_of,
     evaluate,
     ground,
@@ -241,6 +242,11 @@ def test_arity_mismatch():
         parse_formula("holds(a, b)", sig)
     with pytest.raises(ArityMismatch):
         parse_formula("holds", sig)
+
+
+def test_arity_of_an_undeclared_predicate_is_unknown():
+    with pytest.raises(UnknownSymbol, match="undeclared predicate 'p'"):
+        Signature().arity_of("p")
 
 
 def test_predicate_and_constant_namespaces_are_disjoint():

@@ -140,6 +140,12 @@ def test_constants_line_allows_trailing_comment():
     assert kb.declared_constants == ("a", "b")
 
 
+def test_constants_line_may_end_the_text():
+    kb = loads("hypotheses:\n    p(X).\nconstants: a b")
+    assert kb.declared_constants == ("a", "b")
+    assert _texts(kb.hypotheses) == ["p(a)", "p(b)"]
+
+
 def test_statement_after_constants_line_rejected():
     with pytest.raises(FormulaSyntaxError):
         loads("constants: a\n    p(a).\naxioms:\n")

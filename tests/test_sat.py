@@ -17,7 +17,7 @@ from lri import (
     parse_formula,
     solve,
 )
-from lri.cnf import clausify
+from lri.cnf import ClauseSet, clausify
 from lri.engine import minimal_inconsistent_subset
 
 from bruteforce import (
@@ -55,6 +55,16 @@ def test_empty_clause_set_satisfiable():
     result = solve(_clauses([]))
     assert result.satisfiable
     assert result.model == {}
+    assert result.decisions == 0
+
+
+def test_an_empty_clause_is_unsatisfiable_without_decisions():
+    clauses = ClauseSet(
+        (frozenset({1}), frozenset()), {1: Atom("p")}, frozenset()
+    )
+    result = solve(clauses)
+    assert not result.satisfiable
+    assert result.model is None
     assert result.decisions == 0
 
 

@@ -1,0 +1,88 @@
+"""Domains whose rules form one island, checked against the oracle.
+
+Island factoring leaves nothing to split here, so every answer comes from
+the subset sweep over all hypotheses.  Paths and rings of exclusions
+(axioms `-(a_i & a_(i+1))`, hypotheses `a_i`) and connected random bases
+pin the sweep's output order: maximal positions by index tuple,
+justifications by size, then index tuple.
+"""
+
+import random
+
+import pytest
+
+from bruteforce import DomainOracle, random_domain, random_formula
+from lri import (
+    And,
+    Atom,
+    Not,
+    atoms_of,
+    in_reasonable_theory,
+    justifications,
+    maximal_positions,
+    new_domain,
+)
+from lri.formula import atom_groups
+
+
+def _exclusions(n: int, ring: bool):
+    atoms = [Atom(f"a{i}") for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    if ring and n > 2:
+        pairs.append((n - 1, 0))
+    axioms = [Not(And(atoms[i], atoms[j])) for i, j in pairs]
+    return axioms, atoms
+
+
+def _one_island(rules) -> bool:
+    return len(atom_groups([atoms_of(f) for f in rules])) == 1
+
+
+def _connected(seed: int):
+    rng = random.Random(seed)
+    while True:
+        axioms, hypotheses = random_domain(rng, max_atoms=6, max_hypotheses=10)
+        if _one_island(axioms + hypotheses):
+            return axioms, hypotheses, rng
+
+
+def _by_size(selections):
+    return sorted(selections, key=lambda s: (len(s), sorted(s)))
+
+
+def _check(axioms, hypotheses, conclusions):
+    assert _one_island(axioms + hypotheses)
+    domain = new_domain(axioms, hypotheses)
+    oracle = DomainOracle(axioms, hypotheses, conclusions)
+    positions = [p.chosen for p in maximal_positions(domain)]
+    assert positions == oracle.maximal_positions()
+    for phi in conclusions:
+        found = [j.position.chosen for j in justifications(domain, phi)]
+        assert found == _by_size(oracle.justifications(phi)), phi
+        assert in_reasonable_theory(domain, phi) == oracle.reasonable(phi)
+    return positions
+
+
+def _hypothesis_atoms(hypotheses):
+    return sorted(set().union(*map(atoms_of, hypotheses)), key=str)
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["path", "ring"])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exclusion_chains_match_the_oracle(n, ring):
+    axioms, hypotheses = _exclusions(n, ring)
+    rng = random.Random(n * 2 + ring)
+    conclusions = hypotheses + [
+        random_formula(rng, hypotheses, depth=2) for _ in range(3)
+    ]
+    positions = _check(axioms, hypotheses, list(dict.fromkeys(conclusions)))
+    if n == 10 and not ring:
+        assert len(positions) == 16
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_connected_random_bases_match_the_oracle(seed):
+    axioms, hypotheses, rng = _connected(seed)
+    atoms = _hypothesis_atoms(hypotheses)
+    conclusions = atoms + [random_formula(rng, atoms, depth=2) for _ in range(3)]
+    _check(axioms, hypotheses, list(dict.fromkeys(conclusions)))

@@ -221,7 +221,7 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
     count(DomainOfRules, "__init__")
     count(Signature, "register_formula")
     count(CnfBuilder, "add")
-    count(lri.variety, "is_ground")
+    count(lri.variety, "require_ground")
     v = variety_of(permit_domain)
     d = discretize(v)
     assert calls == Counter()
@@ -233,7 +233,7 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
         assert w.maps == (None,) * 3
         assert w.signature is permit_domain.signature
     assert (v.labels, d.labels) == ((None,) * 3, (0, 1, 2))
-    assert set(calls) == {"is_ground"}
+    assert set(calls) == {"require_ground"}
 
 
 def test_variety_questions_spend_the_budget_they_are_given(monkeypatch):
