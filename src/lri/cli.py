@@ -7,6 +7,11 @@ carry the same seven fields (command, input, verdict, positions,
 justifications, contexts, diagnostics) and are serialized with sorted keys,
 so equal inputs produce byte-identical output.
 
+A document costs what its text costs.  The handler that builds it prints
+each formula it shows once, and `_json` writes it as the exact bytes of
+`json.dumps(doc, sort_keys=True, indent=2)`, but encodes its strings and
+ints with json's C encoders instead of json's pure-Python indenting one.
+
 Exit codes: 0 success; 2 input could not be parsed or loaded, a formula is
 nested too deeply for the recursive walkers, the library refused an argument
 (ValueError), or the command line is malformed (argparse usage errors, a
@@ -31,6 +36,8 @@ import argparse
 import functools
 import json
 import sys
+from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from . import kb as kbmod
@@ -138,29 +145,37 @@ def _error_doc(command: str, input_obj: dict, err: LriError) -> dict:
     )
 
 
-def _position_fields(position) -> dict:
+def _printer():
+    """The text of each formula, printed on its first request.
+
+    A handler makes one for the document it builds, so no formula is
+    printed twice in a document and none is kept after it.
+    """
+    return functools.cache(print_formula)
+
+
+def _position_fields(position, printed) -> dict:
     indices = sorted(position.chosen)
+    hypotheses = position.domain.hypotheses
     return {
         "indices": indices,
-        "hypotheses": [
-            print_formula(position.domain.hypotheses[i]) for i in indices
-        ],
+        "hypotheses": [printed(hypotheses[i]) for i in indices],
     }
 
 
-def _justification_fields(justification) -> dict:
-    fields = _position_fields(justification.position)
-    fields["conclusion"] = print_formula(justification.conclusion)
+def _justification_fields(justification, printed) -> dict:
+    fields = _position_fields(justification.position, printed)
+    fields["conclusion"] = printed(justification.conclusion)
     return fields
 
 
-def _context_fields(context) -> dict:
+def _context_fields(context, printed) -> dict:
     pairs = sorted(
         context.pairs,
-        key=lambda pair: (print_formula(pair[0]), sorted(pair[1].position.chosen)),
+        key=lambda pair: (printed(pair[0]), sorted(pair[1].position.chosen)),
     )
     return {
-        "pairs": [_justification_fields(j) for _, j in pairs],
+        "pairs": [_justification_fields(j, printed) for _, j in pairs],
     }
 
 
@@ -182,12 +197,40 @@ def _human(doc: dict) -> list[str]:
     return _VERBS[doc["command"]].render(doc)
 
 
+# How a scalar whose type is exactly the key is written; every other scalar
+# goes to `json.dumps` (`int.__repr__` would write True as 1).
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _json(value, indent: str = "") -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a dict, list or tuple
+    with string keys, starting `indent` deep.
+
+    Each run of like-typed scalars is encoded at once by json's C encoders,
+    and each nested container is one call.
+    """
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    keys = sorted(value) if isinstance(value, dict) else None
+    texts: list[str] = []
+    for kind, run in groupby(value if keys is None else map(value.get, keys), type):
+        if issubclass(kind, (dict, list, tuple)):
+            texts += map(_json, run, repeat(inner))
+        else:
+            texts += map(_SCALAR_TEXT.get(kind, json.dumps), run)
+    if keys is None:
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    items = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
+    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+
 def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
     human = "\n".join(_human(doc)) + "\n"
     if pretty:
         out.write(human)
     else:
-        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        out.write(_json(doc) + "\n")
         err.write(human)
 
 
@@ -240,11 +283,12 @@ def _render_check(doc: dict) -> list[str]:
 
 def positions_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules) -> dict:
     positions = maximal_positions(domain)
+    printed = _printer()
     return _doc(
         "positions",
         {},
         {"count": len(positions)},
-        positions=[_position_fields(p) for p in positions],
+        positions=[_position_fields(p, printed) for p in positions],
         diagnostics=_tally(domain),
     )
 
@@ -262,12 +306,13 @@ def infer_doc(
     phi = _single_ground(base, formula)
     witness = reasonably_infers(domain, phi)
     found = justifications(domain, phi)
+    printed = _printer()
     return _doc(
         "infer",
-        {"formula": print_formula(phi)},
+        {"formula": printed(phi)},
         "reasonable" if witness is not None else "not-reasonable",
-        positions=[_position_fields(witness)] if witness is not None else [],
-        justification_docs=[_justification_fields(j) for j in found],
+        positions=[_position_fields(witness, printed)] if witness is not None else [],
+        justification_docs=[_justification_fields(j, printed) for j in found],
         diagnostics=_tally(domain),
     )
 
@@ -277,11 +322,12 @@ def justify_doc(
 ) -> dict:
     phi = _single_ground(base, formula)
     found = justifications(domain, phi)
+    printed = _printer()
     return _doc(
         "justify",
-        {"formula": print_formula(phi)},
+        {"formula": printed(phi)},
         "reasonable" if found else "not-reasonable",
-        justification_docs=[_justification_fields(j) for j in found],
+        justification_docs=[_justification_fields(j, printed) for j in found],
         diagnostics=_tally(domain),
     )
 
@@ -312,11 +358,12 @@ def context_doc(
     else:
         formulas = [g for text in queries for g in base.parse_query(text)]
     contexts = maximal_consistent_contexts(domain, formulas)
+    printed = _printer()
     return _doc(
         "context",
-        {"queries": [print_formula(q) for q in formulas]},
+        {"queries": [printed(q) for q in formulas]},
         {"count": len(contexts)},
-        contexts=[_context_fields(c) for c in contexts],
+        contexts=[_context_fields(c, printed) for c in contexts],
         diagnostics=_tally(domain),
     )
 
@@ -337,6 +384,7 @@ def variety_doc(
 ) -> dict:
     v = variety_of(domain)
     positions = maximal_positions(domain)
+    printed = _printer()
     verdict = {
         "component_count": len(v),
         "discrete": is_discrete(v),
@@ -346,7 +394,7 @@ def variety_doc(
         with open(probe, "r", encoding="utf-8") as handle:
             universe = ProbeUniverse(base.ground_statements(handle.read()))
         level = upper_level(v, universe, domain.max_decisions)
-        verdict["upper_level"] = [print_formula(f) for f in level]
+        verdict["upper_level"] = [printed(f) for f in level]
     if dot:
         with open(dot, "w", encoding="utf-8") as handle:
             handle.write(overlap_dot(v))
@@ -357,8 +405,8 @@ def variety_doc(
         positions=[
             {
                 "component": i,
-                "axioms": [print_formula(f) for f in v.renamed_axioms(i)],
-                **_position_fields(position),
+                "axioms": [printed(f) for f in v.renamed_axioms(i)],
+                **_position_fields(position, printed),
             }
             for i, position in enumerate(positions)
         ],
@@ -438,11 +486,12 @@ def cmd_partition(args) -> dict:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(partition_dot(graph))
+    printed = _printer()
     verdict = {
         "partition_count": len(graph.nodes),
         "partitions": [
             {
-                "formulas": [print_formula(f) for f in node.formulas],
+                "formulas": [printed(f) for f in node.formulas],
                 "atoms": [str(a) for a in node.atoms],
             }
             for node in graph.nodes
@@ -503,9 +552,9 @@ class ReplSession:
         self._base = self._base.replace(**fields)
         self._domain = None
 
-    def _hypothesis_listing(self) -> list[dict]:
+    def _hypothesis_listing(self, printed) -> list[dict]:
         return [
-            {"index": i, "formula": print_formula(f)}
+            {"index": i, "formula": printed(f)}
             for i, f in enumerate(self._base.hypotheses)
         ]
 
@@ -543,6 +592,7 @@ class ReplSession:
         axioms = list(self._base.axioms)
         axioms.extend(f for f in instances if f not in axioms)
         candidate = self._base.replace(axioms=tuple(axioms))
+        printed = _printer()
         try:
             domain = candidate.domain(self._max_decisions)
         except InconsistentAxioms:
@@ -551,34 +601,35 @@ class ReplSession:
             )
             verdict = {
                 "accepted": False,
-                "conflict": [print_formula(f) for f in conflict],
+                "conflict": [printed(f) for f in conflict],
             }
         else:
             self._base, self._domain = candidate, domain
             verdict = {
                 "accepted": True,
-                "axioms": [print_formula(f) for f in axioms],
+                "axioms": [printed(f) for f in axioms],
             }
         return _doc(
             "assert-ax",
-            {"formula": [print_formula(f) for f in instances]},
+            {"formula": [printed(f) for f in instances]},
             verdict,
         )
 
     def _assert_hypothesis(self, text: str) -> dict:
         instances = self._base.parse_query(text)
-        formulas = {"formula": [print_formula(f) for f in instances]}
+        printed = _printer()
+        formulas = {"formula": [printed(f) for f in instances]}
         base = self._base
         for f in instances:
             for pool, role in (
                 (base.hypotheses, "a hypothesis"), (base.axioms, "an axiom")
             ):
                 if f in pool:
-                    reason = f"already {role}: {print_formula(f)}"
+                    reason = f"already {role}: {printed(f)}"
                     verdict = {"accepted": False, "reason": reason}
                     return _doc("assert-hyp", formulas, verdict)
         self._replace_base(hypotheses=self._base.hypotheses + tuple(instances))
-        verdict = {"accepted": True, "hypotheses": self._hypothesis_listing()}
+        verdict = {"accepted": True, "hypotheses": self._hypothesis_listing(printed)}
         return _doc("assert-hyp", formulas, verdict)
 
     def _retract_hypothesis(self, text: str) -> dict:
@@ -595,12 +646,13 @@ class ReplSession:
                 else "no hypotheses to retract"
             )
         self._replace_base(hypotheses=hypotheses[:index] + hypotheses[index + 1 :])
+        printed = _printer()
         return _doc(
             "retract-hyp",
             {"index": index},
             {
-                "removed": print_formula(hypotheses[index]),
-                "hypotheses": self._hypothesis_listing(),
+                "removed": printed(hypotheses[index]),
+                "hypotheses": self._hypothesis_listing(printed),
             },
         )
 

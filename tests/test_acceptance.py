@@ -311,7 +311,7 @@ def _run_cli(*argv, stdin_text=None):
 
 def test_criterion_10_cli_determinism_and_round_trip():
     files = sorted(GOLDEN.glob("*.lri"))
-    assert len(files) == 20
+    assert len(files) == 21
 
     runs = 0
     for path in files:

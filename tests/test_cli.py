@@ -723,6 +723,38 @@ def test_a_question_walks_its_conclusion_once(
     assert len(walked) == walks
 
 
+@pytest.mark.parametrize(
+    "verb,prints",
+    [(["positions"], 10), (["context", "q_0", "q_1", "-q_1", "-q_0"], 8)],
+    ids=["positions", "context"],
+)
+def test_a_document_prints_each_formula_once(
+    capsys, monkeypatch, tmp_path, verb, prints
+):
+    """Five islands of paired exceptions: 32 positions over 10 hypotheses,
+    and four queries each justified by one hypothesis."""
+    islands = range(5)
+    path = tmp_path / "paired.lri"
+    path.write_text(
+        "axioms:\n"
+        + "".join(f"    p_{i} & e_{i}.\n" for i in islands)
+        + "hypotheses:\n"
+        + "".join(f"    p_{i} -> q_{i}.\n    e_{i} -> -q_{i}.\n" for i in islands),
+        encoding="utf-8",
+    )
+    printed = []
+    real = cli.print_formula
+
+    def counting(formula):
+        printed.append(formula)
+        return real(formula)
+
+    monkeypatch.setattr(cli, "print_formula", counting)
+    assert cli.main([verb[0], str(path), *verb[1:]]) == 0
+    capsys.readouterr()
+    assert len(printed) == len(set(printed)) <= prints
+
+
 def test_no_question_assembles_a_clause_set(
     capsys, monkeypatch, permit_file, tmp_path
 ):
