@@ -30,7 +30,9 @@ islands whose atoms it mentions.
 Maximal positions and justifications are two calls of one subset sweep,
 `_sweep`: an island's maximal selections are swept largest first, a
 conclusion's justifications smallest first, and either way a selection that
-contains, or lies inside, an accepted one is never asked about.  A
+contains, or lies inside, an accepted one is never asked about.  What the
+sweep accepts is proved, so its answers, and the witness of a reasonable
+inference, are wrapped by `_proved` without asking the domain again.  A
 conclusion is walked once, when the domain first asks it (`_ask`); the
 islands it touches are then read by every step of the question.
 
@@ -162,7 +164,7 @@ class DomainOfRules:
                 )
 
         self._consistency: dict[tuple[int, frozenset[int]], bool] = {}
-        self._maximal: Optional[tuple["Position", ...]] = None
+        self._maximal: Optional[tuple[frozenset[int], ...]] = None
         self._question()
         for number in range(len(self._islands)):
             if not self._island_consistent(number, frozenset()):
@@ -324,9 +326,10 @@ class DomainOfRules:
 class Position(Record):
     """A consistent hypothesis selection within a domain of rules.
 
-    Construction re-checks consistency (a cache hit when the selection came
-    out of the domain's own enumeration), so no inconsistent Position can
-    exist.
+    Construction checks the indices and asks the domain whether the
+    selection is consistent, so no inconsistent Position can exist.  The
+    positions the domain's own enumeration has proved consistent are wrapped
+    by `_proved`, which does not ask again.
     """
 
     domain: DomainOfRules
@@ -356,7 +359,8 @@ class Justification(Record):
 
     Minimality: no proper subset of the chosen hypothesis indices still
     entails the conclusion.  The constructor verifies entailment; minimality
-    is the producer's obligation (see `justifications`).
+    is the producer's obligation (see `justifications`, whose answers are
+    proved by its sweep and wrapped by `_proved`).
     """
 
     conclusion: Formula
@@ -374,6 +378,13 @@ class Context(Record):
     """Conclusions drawn together, each carried by a justification."""
 
     pairs: frozenset[tuple[Formula, Justification]]
+
+
+def _proved(cls, *fields):
+    """A record of an answer the domain has proved, made without checks."""
+    record = object.__new__(cls)
+    Record.__init__(record, *fields)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +450,13 @@ def maximal_positions(domain: DomainOfRules) -> list[Position]:
 
     A selection is maximal exactly when its part in every island is, so the
     positions are the products of the islands' maximal selections.  They are
-    returned sorted by their index tuples in ascending order and cached on
-    the domain.
+    returned sorted by their index tuples in ascending order.  The domain
+    caches the selections, not the positions, so nothing it holds refers
+    back to it and it is freed by reference counting.
     """
     if domain._maximal is None:
-        domain._maximal = tuple(
-            Position(domain, selection)
-            for selection in _joined(domain, range(len(domain._islands)))
-        )
-    return list(domain._maximal)
+        domain._maximal = tuple(_joined(domain, range(len(domain._islands))))
+    return [_proved(Position, domain, chosen) for chosen in domain._maximal]
 
 
 def reasonably_infers(
@@ -481,7 +490,7 @@ def reasonably_infers(
         for number in range(len(domain._islands))
         if number not in touched
     )
-    return Position(domain, part.union(*rest))
+    return _proved(Position, domain, part.union(*rest))
 
 
 def in_reasonable_theory(domain: DomainOfRules, conclusion: Formula) -> bool:
@@ -516,8 +525,8 @@ def justifications(
         and domain.selection_entails(selection, conclusion),
     )
     return [
-        Justification(conclusion, Position(domain, selection))
-        for selection in found
+        _proved(Justification, conclusion, _proved(Position, domain, chosen))
+        for chosen in found
     ]
 
 

@@ -24,13 +24,12 @@ searches in `spent`, so a question asked in several searches shares one
 budget.
 
 The package holds no second procedure to check `solve` against: the
-truth-table reference lives with the tests, in `tests/bruteforce.py`.
+truth-table reference, and a plain form of the search, live with the tests,
+in `tests/bruteforce.py`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import chain
 from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Union
 
 from .errors import ResourceLimit
@@ -152,7 +151,11 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
 
     The assignment leaves out atoms the search did not touch; they are
     False.  The decisions are added to the store's `spent`, and the budget
-    counts from there.
+    counts from there.  Most searches propagate a handful of clauses, so
+    the search sets up no more than it must: propagation walks a list as
+    its queue, a decision is counted where it is made, and the model is
+    checked clause by clause against the assignment.  `reference_search` in
+    `tests/bruteforce.py` is the same search written plainly.
     """
     store = problem.store
     clauses = store.clauses
@@ -163,45 +166,50 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
     target = len(unassigned)
     spent = store.spent
     value: dict[int, bool] = {}
+    get = value.get
     trail: list[int] = []
     covered = 0  # active clauses with at least one true literal
     decisions = 0
     variables: list[int] = []
 
-    def propagate(queue: deque[int]) -> bool:
-        """Assign queued literals and all unit consequences.
+    def propagate(queue: list[int]) -> bool:
+        """Assign queued literals and their unit consequences, in FIFO order.
 
-        False on conflict.  A literal's clauses are all updated before the
-        conflict is reported, so that `undo` can restore them.
+        A unit literal is appended to the list being walked.  False on
+        conflict.  A literal's clauses are all updated before the conflict
+        is reported, so that `undo` can restore them.
         """
         nonlocal covered
-        while queue:
-            lit = queue.popleft()
+        for lit in queue:
             var = abs(lit)
-            if var in value:
-                if value[var] != (lit > 0):
+            known = get(var)
+            if known is not None:
+                if known != (lit > 0):
                     return False
                 continue
             value[var] = lit > 0
             trail.append(var)
             for n in occurrences.get(lit, ()):
-                if n in satisfied:
+                held = satisfied.get(n)
+                if held is not None:
                     unassigned[n] -= 1
-                    if satisfied[n] == 0:
+                    if not held:
                         covered += 1
-                    satisfied[n] += 1
+                    satisfied[n] = held + 1
             conflict = False
             for n in occurrences.get(-lit, ()):
-                if n in satisfied:
-                    unassigned[n] -= 1
-                    if satisfied[n] or unassigned[n] > 1:
+                held = satisfied.get(n)
+                if held is not None:
+                    left = unassigned[n] = unassigned[n] - 1
+                    if held or left > 1:
                         continue
-                    if unassigned[n] == 0:
+                    if not left:
                         conflict = True
                     elif not conflict:
-                        queue.append(
-                            next(c for c in clauses[n] if abs(c) not in value)
-                        )
+                        for unit in clauses[n]:
+                            if abs(unit) not in value:
+                                queue.append(unit)
+                                break
             if conflict:
                 return False
         return True
@@ -210,8 +218,7 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
         nonlocal covered
         while len(trail) > mark:
             var = trail.pop()
-            was_true = value.pop(var)
-            lit = var if was_true else -var
+            lit = var if value.pop(var) else -var
             for n in occurrences.get(lit, ()):
                 if n in satisfied:
                     unassigned[n] += 1
@@ -222,30 +229,26 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
                 if n in satisfied:
                     unassigned[n] += 1
 
-    def decide(lit: int) -> bool:
-        """Count one decision against the budget and propagate lit."""
-        nonlocal decisions
-        decisions += 1
-        if spent + decisions > cap:
-            raise ResourceLimit(
-                f"satisfiability search exceeded {cap} decisions"
-            )
-        return propagate(deque([lit]))
-
-    satisfiable = propagate(deque(problem.assumptions))
+    satisfiable = propagate(list(problem.assumptions))
     # Decision frames: [variable, trail mark, already flipped to True].
     stack: list[list] = []
     while satisfiable and covered < target:
         if not variables:
-            found = {abs(lit) for n in active for lit in clauses[n]}
-            found.update(abs(lit) for lit in problem.assumptions)
-            variables = sorted(found)
+            # Assumptions stay assigned, so only clause atoms can branch.
+            variables = sorted({abs(c) for n in active for c in clauses[n]})
         branch_var = next((v for v in variables if v not in value), None)
         if branch_var is None:
             break
         stack.append([branch_var, len(trail), False])
-        ok = decide(-branch_var)
-        while not ok:
+        lit = -branch_var
+        while True:
+            decisions += 1
+            if spent + decisions > cap:
+                raise ResourceLimit(
+                    f"satisfiability search exceeded {cap} decisions"
+                )
+            if propagate([lit]):
+                break
             while stack and stack[-1][2]:
                 undo(stack[-1][1])
                 stack.pop()
@@ -255,17 +258,17 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
             frame = stack[-1]
             undo(frame[1])
             frame[2] = True
-            ok = decide(frame[0])
+            lit = frame[0]
 
     store.spent = spent + decisions
     if satisfiable:
-        true = {var if v else -var for var, v in value.items()}
-        for clause in chain(
-            (clauses[n] for n in active),
-            ((lit,) for lit in problem.assumptions),
-        ):
-            if true.isdisjoint(clause) and not any(
-                lit < 0 and -lit not in value for lit in clause
-            ):
+        for lit in problem.assumptions:
+            if get(abs(lit), False) != (lit > 0):
+                raise RuntimeError("internal error: model fails verification")
+        for n in active:
+            for lit in clauses[n]:
+                if get(abs(lit), False) == (lit > 0):
+                    break
+            else:
                 raise RuntimeError("internal error: model fails verification")
     return satisfiable, decisions, value

@@ -7,17 +7,20 @@ search), so the two routes can disagree whenever either is wrong.  A
 reference lexer that matches one token at a time is what the package's
 one-scan lexer is checked against, and a recursive-descent parser with one
 method per precedence level over its tokens is what the package's parser is
-checked against.
+checked against, and a search that keeps its state in closures over a
+`deque` is what the package's `sat._search` is checked against.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import deque
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
-from lri import Formula, FormulaSyntaxError, atoms_of
+from lri import Formula, FormulaSyntaxError, ResourceLimit, atoms_of
 
 ATOM_NAMES = "abcdefghijkl"
 
@@ -323,6 +326,129 @@ def reference_statements(text: str, signature: Signature) -> list[Formula]:
         out.append(parser.formula())
         parser.expect("DOT", "'.' after the statement")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference search
+# ---------------------------------------------------------------------------
+
+
+def reference_search(problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
+    """The search `sat._search` must repeat, written plainly.
+
+    The same branching order, FIFO unit propagation, choice of unit literal,
+    decision count, budget and model check, with the queue a `deque`, each
+    decision a call of `decide`, and the model checked against a set of the
+    true literals.
+    """
+    store = problem.store
+    clauses = store.clauses
+    occurrences = store.occurrences
+    active = problem.active
+    unassigned = {n: len(clauses[n]) for n in active}
+    satisfied = dict.fromkeys(active, 0)
+    target = len(unassigned)
+    spent = store.spent
+    value: dict[int, bool] = {}
+    trail: list[int] = []
+    covered = 0  # active clauses with at least one true literal
+    decisions = 0
+    variables: list[int] = []
+
+    def propagate(queue: deque[int]) -> bool:
+        nonlocal covered
+        while queue:
+            lit = queue.popleft()
+            var = abs(lit)
+            if var in value:
+                if value[var] != (lit > 0):
+                    return False
+                continue
+            value[var] = lit > 0
+            trail.append(var)
+            for n in occurrences.get(lit, ()):
+                if n in satisfied:
+                    unassigned[n] -= 1
+                    if satisfied[n] == 0:
+                        covered += 1
+                    satisfied[n] += 1
+            conflict = False
+            for n in occurrences.get(-lit, ()):
+                if n in satisfied:
+                    unassigned[n] -= 1
+                    if satisfied[n] or unassigned[n] > 1:
+                        continue
+                    if unassigned[n] == 0:
+                        conflict = True
+                    elif not conflict:
+                        queue.append(
+                            next(c for c in clauses[n] if abs(c) not in value)
+                        )
+            if conflict:
+                return False
+        return True
+
+    def undo(mark: int) -> None:
+        nonlocal covered
+        while len(trail) > mark:
+            var = trail.pop()
+            was_true = value.pop(var)
+            lit = var if was_true else -var
+            for n in occurrences.get(lit, ()):
+                if n in satisfied:
+                    unassigned[n] += 1
+                    satisfied[n] -= 1
+                    if satisfied[n] == 0:
+                        covered -= 1
+            for n in occurrences.get(-lit, ()):
+                if n in satisfied:
+                    unassigned[n] += 1
+
+    def decide(lit: int) -> bool:
+        nonlocal decisions
+        decisions += 1
+        if spent + decisions > cap:
+            raise ResourceLimit(
+                f"satisfiability search exceeded {cap} decisions"
+            )
+        return propagate(deque([lit]))
+
+    satisfiable = propagate(deque(problem.assumptions))
+    stack: list[list] = []
+    while satisfiable and covered < target:
+        if not variables:
+            found = {abs(lit) for n in active for lit in clauses[n]}
+            found.update(abs(lit) for lit in problem.assumptions)
+            variables = sorted(found)
+        branch_var = next((v for v in variables if v not in value), None)
+        if branch_var is None:
+            break
+        stack.append([branch_var, len(trail), False])
+        ok = decide(-branch_var)
+        while not ok:
+            while stack and stack[-1][2]:
+                undo(stack[-1][1])
+                stack.pop()
+            if not stack:
+                satisfiable = False
+                break
+            frame = stack[-1]
+            undo(frame[1])
+            frame[2] = True
+            ok = decide(frame[0])
+
+    store.spent = spent + decisions
+    if satisfiable:
+        true = {var if v else -var for var, v in value.items()}
+        for clause in chain(
+            (clauses[n] for n in active),
+            ((lit,) for lit in problem.assumptions),
+        ):
+            if true.isdisjoint(clause) and not any(
+                lit < 0 and -lit not in value for lit in clause
+            ):
+                raise RuntimeError("internal error: model fails verification")
+    return satisfiable, decisions, value
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,23 @@ def test_justifications_minimal_and_entailing():
         samples += 1
 
 
+def test_proved_answers_pass_the_public_checks():
+    """Answers made without asking again equal the checked constructors'."""
+    rng = random.Random(17)
+    for _ in range(25):
+        _, hypotheses, domain, _ = _oracle_pair(rng)
+        query = hypotheses[rng.randrange(len(hypotheses))]
+        answers = maximal_positions(domain)
+        witness = reasonably_infers(domain, query)
+        if witness is not None:
+            answers.append(witness)
+        for position in answers:
+            assert Position(domain, position.chosen) == position
+        for j in justifications(domain, query):
+            checked = Position(domain, j.position.chosen)
+            assert Justification(query, checked) == j
+
+
 def test_tautology_justified_by_empty_position(permit_domain):
     taut = parse_formula("act | -act", permit_domain.signature)
     found = justifications(permit_domain, taut)

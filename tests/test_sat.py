@@ -17,6 +17,7 @@ from lri import (
     parse_formula,
     solve,
 )
+from lri import sat
 from lri.cnf import ClauseSet, clausify
 from lri.engine import minimal_inconsistent_subset
 
@@ -27,6 +28,7 @@ from bruteforce import (
     make_atoms,
     random_domain,
     random_formula,
+    reference_search,
 )
 
 
@@ -247,3 +249,45 @@ def test_store_searches_match_one_shot_clause_sets(seed, monkeypatch):
             expected = oracle.entails(mask, phi)
             assert domain.selection_entails(frozenset(chosen), phi) is expected
     assert True in verdicts and False in verdicts
+
+
+def _random_problem(rng):
+    """A store of random clauses, a random part of it active, assumptions."""
+    atoms = rng.randint(1, 8)
+    store = sat.ClauseStore()
+    for _ in range(rng.randint(0, 14)):
+        chosen = rng.sample(range(1, atoms + 1), rng.randint(1, min(3, atoms)))
+        store.add(v if rng.random() < 0.5 else -v for v in chosen)
+    active = {n for n in range(len(store.clauses)) if rng.random() < 0.7}
+    assumptions = tuple(
+        v if rng.random() < 0.5 else -v
+        for v in rng.sample(range(1, atoms + 1), rng.randint(0, min(3, atoms)))
+    )
+    return sat.Problem(store, assumptions, active)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_repeats_the_reference_search(seed):
+    """`_search` gives the reference's answer, decisions and assignment.
+
+    Random stores, active parts, assumptions, spent decisions and caps;
+    each search must leave the store's `spent` where the reference leaves
+    it, and run out of budget at the same cap.
+    """
+    rng = random.Random(seed)
+    limited = 0
+    for _ in range(150):
+        problem = _random_problem(rng)
+        start = rng.randint(0, 3)
+        cap = rng.choice([0, 1, 2, 3, 5, 8, sat.DEFAULT_MAX_DECISIONS])
+        outcomes = []
+        for search in (reference_search, sat._search):
+            problem.store.spent = start
+            try:
+                outcomes.append(search(problem, cap))
+            except ResourceLimit as err:
+                outcomes.append(str(err))
+            outcomes.append(problem.store.spent)
+        assert outcomes[:2] == outcomes[2:]
+        limited += isinstance(outcomes[0], str)
+    assert 0 < limited < 150

@@ -20,13 +20,13 @@ PINNED = {
     "islands": {
         "sat.solve_calls": 162,
         "sat.decisions": 0,
-        "engine.consistent_calls": 247,
-        "engine.entails_calls": 60,
+        "engine.consistent_calls": 136,
+        "engine.entails_calls": 45,
     },
     "grounded": {
         "sat.solve_calls": 138,
         "sat.decisions": 176,
-        "engine.consistent_calls": 35,
+        "engine.consistent_calls": 19,
         "engine.entails_calls": 18,
     },
 }
