@@ -44,14 +44,12 @@ from .formula import (
     Or,
     Signature,
     atoms_of,
-    evaluate,
     ground,
     is_ground,
     parse_formula,
     parse_statements,
     print_formula,
 )
-from .sat import solve
 from .variety import (
     Calculus,
     DepthCheckResult,
@@ -81,17 +79,16 @@ __version__ = "0.1.0"
 __all__ = [
     "And", "ArityMismatch", "Atom", "AxiomHypothesisOverlap", "Calculus",
     "Context", "DepthCheckResult", "DomainOfRules", "DuplicateHypothesis",
-    "EmptyDomain", "Formula", "FormulaSyntaxError", "Iff",
-    "Implies", "IncompleteRenaming", "InconsistentAxioms", "Justification",
-    "LriError", "MixedDomains", "Not", "Or", "PartitionEdge",
-    "PartitionGraph", "PartitionNode", "Position", "ProbeUniverse",
-    "RenamingMap", "ResourceLimit", "Signature", "UnknownSymbol", "Variety",
-    "apply_renaming", "atoms_of", "check_variety_depth", "discretize",
-    "evaluate", "ground", "in_reasonable_theory", "is_compatible",
-    "is_connected", "is_consistent_context", "is_discrete",
-    "is_ground", "justifications", "maximal_consistent_contexts",
-    "maximal_positions", "new_domain", "overlap_dot", "parse_formula",
-    "parse_statements", "partition_dot", "partition_graph", "print_formula",
-    "reasonably_infers", "solve", "theorem_in", "upper_level", "variety_of",
-    "witness_variety",
+    "EmptyDomain", "Formula", "FormulaSyntaxError", "Iff", "Implies",
+    "IncompleteRenaming", "InconsistentAxioms", "Justification", "LriError",
+    "MixedDomains", "Not", "Or", "PartitionEdge", "PartitionGraph",
+    "PartitionNode", "Position", "ProbeUniverse", "RenamingMap",
+    "ResourceLimit", "Signature", "UnknownSymbol", "Variety", "apply_renaming",
+    "atoms_of", "check_variety_depth", "discretize", "ground",
+    "in_reasonable_theory", "is_compatible", "is_connected",
+    "is_consistent_context", "is_discrete", "is_ground", "justifications",
+    "maximal_consistent_contexts", "maximal_positions", "new_domain",
+    "overlap_dot", "parse_formula", "parse_statements", "partition_dot",
+    "partition_graph", "print_formula", "reasonably_infers", "theorem_in",
+    "upper_level", "variety_of", "witness_variety",
 ]

@@ -563,8 +563,8 @@ class ReplSession:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             return {}
-        word, _, rest = stripped.partition(" ")
-        rest = rest.strip()
+        word = stripped.split(None, 1)[0]
+        rest = stripped[len(word):].lstrip()
         try:
             return self._dispatch(word, rest)
         except _USER_ERRORS as err:

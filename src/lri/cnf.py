@@ -17,7 +17,7 @@ same clauses as one immutable set, for `check --dimacs` and for tests.
 
 Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
 identifier character in the formula grammar, so no parsed input can collide
-with them, and models are reported with the namespace filtered out.
+with them.
 
 Literals are signed integers: registry index + 1, negative for negation.
 """
@@ -39,17 +39,15 @@ def is_aux(atom: Atom) -> bool:
 
 
 class ClauseSet(Record):
-    """An immutable clause collection with its literal decoding tables.
+    """An immutable clause collection with its literal decoding table.
 
     `atoms` maps every variable number occurring in the clauses (signed
-    literal magnitudes) back to its atom; `aux` lists the variable numbers of
-    defining atoms, which solvers exclude from reported models.  Equality
-    and hashing look at the clauses alone.
+    literal magnitudes) back to its atom, defining atoms included.
+    Equality and hashing look at the clauses alone.
     """
 
     clauses: tuple[Clause, ...]
     atoms: Mapping[int, Atom]
-    aux: frozenset[int]
 
     def _compared(self) -> tuple:
         return (self.clauses,)
@@ -105,9 +103,6 @@ class CnfBuilder:
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""
-        return self._literal_for(formula)
-
-    def _literal_for(self, formula: Formula) -> int:
         known = self._literal.get(formula)
         if known is not None:
             return known
@@ -118,10 +113,10 @@ class CnfBuilder:
                 )
             lit = self._var(formula)
         elif isinstance(formula, Not):
-            lit = -self._literal_for(formula.operand)
+            lit = -self.add(formula.operand)
         else:
-            left = self._literal_for(formula.left)
-            right = self._literal_for(formula.right)
+            left = self.add(formula.left)
+            right = self.add(formula.right)
             out = self._fresh_aux()
             if isinstance(formula, And):
                 defs = [(-out, left), (-out, right), (out, -left, -right)]
@@ -204,7 +199,6 @@ class CnfBuilder:
         return ClauseSet(
             clauses=clauses,
             atoms={var: self._sig.atom_at(var - 1) for var in reached},
-            aux=frozenset(reached & self._defs.keys()),
         )
 
 

@@ -187,12 +187,6 @@ class DomainOfRules:
             f"{len(self.hypotheses)} hypotheses)"
         )
 
-    def selection_formulas(self, chosen: frozenset[int]) -> tuple[Formula, ...]:
-        """Axioms plus the selected hypotheses, in stated order."""
-        return self.axioms + tuple(
-            self.hypotheses[i] for i in sorted(chosen)
-        )
-
     def _parts_consistent(
         self, chosen: frozenset[int], skipped: frozenset[int] = frozenset()
     ) -> bool:
@@ -347,7 +341,11 @@ class Position(Record):
 
     @property
     def formulas(self) -> tuple[Formula, ...]:
-        return self.domain.selection_formulas(self.chosen)
+        """Axioms plus the selected hypotheses, in stated order."""
+        hypotheses = self.domain.hypotheses
+        return self.domain.axioms + tuple(
+            hypotheses[i] for i in sorted(self.chosen)
+        )
 
     def entails(self, conclusion: Formula) -> bool:
         require_ground(conclusion, "conclusion")
@@ -589,39 +587,19 @@ def maximal_consistent_contexts(
         )
 
     options = [justifications(domain, q) for q in query_list]
-
-    def union_of(choice: tuple[int, ...]) -> frozenset[int]:
-        parts = [
-            options[i][j].position.chosen
-            for i, j in enumerate(choice)
-            if j < len(options[i])
-        ]
-        return frozenset().union(*parts) if parts else frozenset()
-
     contexts: list[Context] = []
-    # Choice i == len(options[i]) means query i is left uncovered.
-    for choice in itertools.product(
-        *(range(len(opts) + 1) for opts in options)
-    ):
-        union = union_of(choice)
-        if not domain.consistent(union):
-            continue
-        maximal = True
-        for i, j in enumerate(choice):
-            if j < len(options[i]):
-                continue
-            for alternative in options[i]:
-                extended = union | alternative.position.chosen
-                if domain.consistent(extended):
-                    maximal = False
-                    break
-            if not maximal:
-                break
-        if maximal:
+    # None in a choice leaves its query out.
+    for choice in itertools.product(*(opts + [None] for opts in options)):
+        union = frozenset().union(
+            *(j.position.chosen for j in choice if j is not None)
+        )
+        if domain.consistent(union) and not any(
+            domain.consistent(union | alt.position.chosen)
+            for opts, j in zip(options, choice) if j is None
+            for alt in opts
+        ):
             pairs = frozenset(
-                (query_list[i], options[i][j])
-                for i, j in enumerate(choice)
-                if j < len(options[i])
+                (q, j) for q, j in zip(query_list, choice) if j is not None
             )
             contexts.append(Context(pairs))
     return contexts

@@ -284,23 +284,6 @@ def substitute(
     )
 
 
-def evaluate(formula: Formula, assignment: Mapping[Atom, bool]) -> bool:
-    """Classical truth value under a total assignment of the formula's atoms."""
-    if isinstance(formula, Atom):
-        return assignment[formula]
-    if isinstance(formula, Not):
-        return not evaluate(formula.operand, assignment)
-    left = evaluate(formula.left, assignment)
-    right = evaluate(formula.right, assignment)
-    if isinstance(formula, And):
-        return left and right
-    if isinstance(formula, Or):
-        return left or right
-    if isinstance(formula, Implies):
-        return (not left) or right
-    return left == right
-
-
 def print_formula(formula: Formula) -> str:
     """Render with explicit parentheses around every binary connective.
 

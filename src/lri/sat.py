@@ -1,21 +1,20 @@
 """Satisfiability core: deterministic backtracking search.
 
-`solve` is the one search entry point.  It decides either a `Problem`, a set
-of assumption literals over a persistent `ClauseStore`, or a one-shot clause
-set (`cnf.ClauseSet`, as `check --dimacs` lists it), which is searched as a
-store holding all of its clauses.  Every consistency and entailment question
-in the package is asked of a domain of rules (`engine.DomainOfRules`), whose
-clausifier keeps one store: each definition's clauses go in once, and a
-search activates only the definitions its assumptions reach.
+`solve` is the one search entry point.  It decides a `Problem`: a set of
+assumption literals over a persistent `ClauseStore`, with the clauses of
+the store those assumptions activate.  Every consistency and entailment
+question in the package is asked of a domain of rules
+(`engine.DomainOfRules`), whose clausifier keeps one store: each
+definition's clauses go in once, and a search activates only the
+definitions its assumptions reach.
 
-The search order is pinned down so that results, including reported models,
-are reproducible: branch on the unassigned atom with the lowest registry
-index, try False before True, and propagate unit clauses exhaustively
-between decisions.  Assumptions act exactly as unit clauses would, so a
-search under assumptions makes the same decisions as a one-shot search of
-the clause set it activates.  There is deliberately no pure-literal rule and
-no learned-clause machinery; at the problem sizes this package targets, a
-predictable search beats a clever one.
+The search order is pinned down so that results are reproducible: branch
+on the unassigned atom with the lowest registry index, try False before
+True, and propagate unit clauses exhaustively between decisions.  The
+assumptions are propagated before the first decision, as unit clauses
+would be.  There is deliberately no pure-literal rule and no learned-clause
+machinery; at the problem sizes this package targets, a predictable search
+beats a clever one.
 
 Every assignment attempt at a branch point counts as one decision against a
 budget (10 million by default); exceeding the budget raises ResourceLimit
@@ -30,13 +29,10 @@ in `tests/bruteforce.py`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Optional, Union
+from typing import Collection, Iterable, Optional
 
 from .errors import ResourceLimit
-from .formula import Atom, Record
-
-if TYPE_CHECKING:
-    from .cnf import ClauseSet
+from .formula import Record
 
 DEFAULT_MAX_DECISIONS = 10_000_000
 
@@ -44,20 +40,14 @@ DEFAULT_MAX_DECISIONS = 10_000_000
 class SatResult(Record):
     """Outcome of a satisfiability search.
 
-    `model` is None when unsatisfiable, and also for a `Problem`, whose
-    store keeps no atoms to report.  A satisfiable one-shot clause set gets
-    a total assignment over its non-auxiliary atoms (atoms the search never
-    touched default to False).  `decisions` counts branch attempts and is
-    purely diagnostic.
+    `decisions` counts branch attempts and is purely diagnostic.
     """
 
     satisfiable: bool
-    model: Optional[Mapping[Atom, bool]]
     decisions: int
 
-    def __init__(self, satisfiable, model, decisions) -> None:
+    def __init__(self, satisfiable, decisions) -> None:
         object.__setattr__(self, "satisfiable", satisfiable)
-        object.__setattr__(self, "model", model)
         object.__setattr__(self, "decisions", decisions)
 
 
@@ -116,34 +106,10 @@ class Problem:
         return tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
 
 
-def solve(
-    problem: Union[Problem, "ClauseSet"], max_decisions: Optional[int] = None
-) -> SatResult:
+def solve(problem: Problem, max_decisions: Optional[int] = None) -> SatResult:
     cap = DEFAULT_MAX_DECISIONS if max_decisions is None else int(max_decisions)
-    if isinstance(problem, Problem):
-        satisfiable, decisions, _ = _search(problem, cap)
-        return SatResult(satisfiable, None, decisions)
-    clause_set = problem
-    if any(not c for c in clause_set.clauses):
-        return SatResult(False, None, 0)
-    store = ClauseStore()
-    units = []
-    for clause in clause_set.clauses:
-        if len(clause) == 1:
-            units.extend(clause)
-        else:
-            store.add(clause)
-    satisfiable, decisions, value = _search(
-        Problem(store, tuple(units), range(len(store.clauses))), cap
-    )
-    if not satisfiable:
-        return SatResult(False, None, decisions)
-    model = {
-        clause_set.atoms[var]: value.get(var, False)
-        for var in sorted(clause_set.atoms)
-        if var not in clause_set.aux
-    }
-    return SatResult(True, model, decisions)
+    satisfiable, decisions, _ = _search(problem, cap)
+    return SatResult(satisfiable, decisions)
 
 
 def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:

@@ -491,6 +491,14 @@ def test_repl_query_matches_batch_document(capsys, permit_file):
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == batch
 
 
+@pytest.mark.parametrize(
+    "spaced, tabbed",
+    [("infer perm", "infer\tperm"), ("retract-hyp 0", "retract-hyp \t 0")],
+)
+def test_repl_splits_a_command_at_any_whitespace(spaced, tabbed):
+    assert _session().handle(tabbed) == _session().handle(spaced)
+
+
 def test_repl_assert_hyp_appends_and_echoes():
     session = _session()
     doc = session.handle("assert-hyp -act -> -perm")

@@ -4,46 +4,47 @@ import random
 
 import pytest
 
-from lri import Atom, FormulaSyntaxError, Not, Signature, parse_formula, solve
+from lri import Atom, FormulaSyntaxError, Not, Signature, parse_formula, sat
 from lri.cnf import AUX_PREFIX, CnfBuilder, clausify, is_aux, to_dimacs
 
 from bruteforce import TableOracle, make_atoms, random_formula
+from conftest import solver_problem
 
 
 def _parse_all(texts, sig):
     return [parse_formula(t, sig) for t in texts]
 
 
+def _satisfiable(texts):
+    sig = Signature()
+    return sat.solve(solver_problem(_parse_all(texts, sig), sig)).satisfiable
+
+
 def test_single_literal_passes_through():
     sig = Signature()
     cs = clausify(_parse_all(["p"], sig), sig)
     assert cs.clauses == (frozenset({1}),)
-    assert not cs.aux
+    assert cs.atoms == {1: Atom("p")}
 
 
 def test_negated_literal_folds():
     sig = Signature()
     cs = clausify(_parse_all(["-p"], sig), sig)
     assert cs.clauses == (frozenset({-1}),)
-    assert not cs.aux
+    assert cs.atoms == {1: Atom("p")}
 
 
 def test_direct_contradiction_unsat():
-    sig = Signature()
-    cs = clausify(_parse_all(["p", "-p"], sig), sig)
-    assert not solve(cs).satisfiable
+    assert not _satisfiable(["p", "-p"])
 
 
 def test_biconditional_forces_value():
+    assert not _satisfiable(["a <-> b", "a", "-b"])
     sig = Signature()
-    cs = clausify(_parse_all(["a <-> b", "a", "-b"], sig), sig)
-    assert not solve(cs).satisfiable
-    sig = Signature()
-    cs = clausify(_parse_all(["a <-> b", "a"], sig), sig)
-    result = solve(cs)
-    assert result.satisfiable
-    assert set(result.model) == {Atom("a"), Atom("b")}
-    assert result.model[Atom("b")] is True
+    problem = solver_problem(_parse_all(["a <-> b", "a"], sig), sig)
+    satisfiable, decisions, value = sat._search(problem, 0)
+    assert satisfiable and decisions == 0
+    assert value[sig.index_of(Atom("b")) + 1] is True
 
 
 def test_shared_subformulas_share_definitions():
@@ -55,7 +56,7 @@ def test_shared_subformulas_share_definitions():
     assert builder.add(f) == top_f
     cs = builder.clause_set([top_f, top_g])
     # one definition for the conjunction, one for the disjunction
-    assert len(cs.aux) == 2
+    assert sum(map(is_aux, cs.atoms.values())) == 2
 
 
 def test_tautologous_clauses_dropped():
@@ -63,7 +64,7 @@ def test_tautologous_clauses_dropped():
     cs = clausify(_parse_all(["p | -p"], sig), sig)
     for clause in cs.clauses:
         assert not any(-lit in clause for lit in clause)
-    assert solve(cs).satisfiable
+    assert _satisfiable(["p | -p"])
 
 
 def test_aux_namespace_not_parseable():
@@ -119,7 +120,7 @@ def test_random_equisatisfiability_small():
         ]
         expected = TableOracle(formulas).satisfiable(formulas)
         sig = Signature()
-        assert solve(clausify(formulas, sig)).satisfiable is expected
+        assert sat.solve(solver_problem(formulas, sig)).satisfiable is expected
 
 
 def test_dimacs_listing():

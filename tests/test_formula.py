@@ -20,7 +20,6 @@ from lri import (
     Signature,
     UnknownSymbol,
     atoms_of,
-    evaluate,
     ground,
     is_ground,
     parse_formula,
@@ -399,15 +398,6 @@ def test_substitute_and_groundness():
 )
 def test_atoms_of(text, expected):
     assert atoms_of(parse_formula(text, Signature())) == expected
-
-
-def test_evaluate_truth_table():
-    sig = Signature()
-    f = parse_formula("(p -> q) <-> (-p | q)", sig)
-    p, q = Atom("p"), Atom("q")
-    for vp in (False, True):
-        for vq in (False, True):
-            assert evaluate(f, {p: vp, q: vq}) is True
 
 
 # ---------------------------------------------------------------------------

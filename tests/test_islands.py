@@ -142,9 +142,9 @@ def test_islands_without_axioms_need_no_search_at_construction(monkeypatch):
     calls: list[int] = []
     real_solve = lri.engine.sat.solve
 
-    def counting_solve(clause_set, max_decisions=None):
-        calls.append(len(clause_set.clauses))
-        return real_solve(clause_set, max_decisions)
+    def counting_solve(problem, max_decisions=None):
+        calls.append(len(problem.clauses))
+        return real_solve(problem, max_decisions)
 
     monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
     p, q, r, s = (Atom(name) for name in "pqrs")
@@ -164,9 +164,9 @@ def test_query_definitions_do_not_pile_up(permit_domain, monkeypatch):
     sizes: list[int] = []
     real_solve = lri.engine.sat.solve
 
-    def counting_solve(clause_set, max_decisions=None):
-        sizes.append(len(clause_set.clauses))
-        return real_solve(clause_set, max_decisions)
+    def counting_solve(problem, max_decisions=None):
+        sizes.append(len(problem.clauses))
+        return real_solve(problem, max_decisions)
 
     monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
     probe = Atom("perm")

@@ -49,12 +49,8 @@ RECORDS = [
     (Or, ("left", "right"), (P, Q)),
     (Implies, ("left", "right"), (P, Not(Q))),
     (Iff, ("left", "right"), (And(P, Q), Q)),
-    (SatResult, ("satisfiable", "model", "decisions"), (False, None, 2)),
-    (
-        ClauseSet,
-        ("clauses", "atoms", "aux"),
-        ((frozenset({1, -2}),), {1: P, 2: Q}, frozenset()),
-    ),
+    (SatResult, ("satisfiable", "decisions"), (False, 2)),
+    (ClauseSet, ("clauses", "atoms"), ((frozenset({1, -2}),), {1: P, 2: Q})),
     (Position, ("domain", "chosen"), (DOMAIN, frozenset({0}))),
     (
         Justification,
@@ -171,10 +167,10 @@ def test_construction_refuses_bad_fields(build, error):
 
 def test_clause_set_equality_ignores_decoding_tables():
     clauses = (frozenset({1}), frozenset({-1, 2}))
-    first = ClauseSet(clauses, {1: P, 2: Q}, frozenset())
-    second = ClauseSet(clauses, {}, frozenset({2}))
+    first = ClauseSet(clauses, {1: P, 2: Q})
+    second = ClauseSet(clauses, {})
     assert first == second and hash(first) == hash(second)
-    assert first != ClauseSet(clauses[:1], {1: P}, frozenset())
+    assert first != ClauseSet(clauses[:1], {1: P})
 
 
 def test_depth_check_result_is_falsy_when_it_fails():

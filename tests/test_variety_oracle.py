@@ -178,9 +178,9 @@ def test_variety_questions_stay_inside_islands(monkeypatch):
     sizes: list[int] = []
     real_solve = lri.sat.solve
 
-    def recording_solve(clause_set, max_decisions=None):
-        sizes.append(len(clause_set.clauses))
-        return real_solve(clause_set, max_decisions)
+    def recording_solve(problem, max_decisions=None):
+        sizes.append(len(problem.clauses))
+        return real_solve(problem, max_decisions)
 
     monkeypatch.setattr(lri.sat, "solve", recording_solve)
     assert upper_level(v, [Atom("q0")]) == (Atom("q0"),)
