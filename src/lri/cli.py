@@ -716,7 +716,7 @@ class _Verb:
     before the others, builds its domain, and passes the declared arguments
     by their argparse names.  The session passes the rest of the line as
     the operand, and refuses an empty one where the first argument is
-    required.
+    required and any one where there is no argument.
     """
 
     def __init__(
@@ -736,6 +736,8 @@ class _Verb:
         return self.query(base, domain, *(getattr(args, d) for d in dests))
 
     def require_operand(self, text: str) -> None:
+        if text and not self.arguments:
+            raise _InputError(f"unexpected operand {text!r}")
         if not text and self.arguments and "nargs" not in self.arguments[0][1]:
             raise _InputError(f"missing {self.arguments[0][0]}")
 
@@ -816,7 +818,8 @@ _VERBS = {
         _render_assertion, None, _FORMULA,
         repl=1, edit=ReplSession._assert_hypothesis),
     "retract-hyp": _Verb(
-        _render_retraction, repl=2, edit=ReplSession._retract_hypothesis),
+        _render_retraction, None, _arg("index", nargs="?"),
+        repl=2, edit=ReplSession._retract_hypothesis),
     "save": _Verb(
         _render_save, None, _arg("path"), repl=7, edit=ReplSession._save),
     "quit": _Verb(None, repl=8, edit=lambda session, text: None),
@@ -825,9 +828,6 @@ _VERBS = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    for name, options in _COMMON_OPTIONS:
-        common.add_argument(name, **options)
     parser = argparse.ArgumentParser(
         prog="lri",
         description="Reasonable inference over possibly inconsistent rule bases.",
@@ -836,11 +836,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, verb in _VERBS.items():
         if verb.help is None:
             continue
-        p = sub.add_parser(command, parents=[common], help=verb.help)
-        arguments = verb.arguments
-        if verb.query is not None:
-            arguments = (_FILE,) + arguments
-        for name, options in arguments:
+        p = sub.add_parser(command, help=verb.help)
+        file_arg = (_FILE,) if verb.query is not None else ()
+        for name, options in _COMMON_OPTIONS + file_arg + verb.arguments:
             p.add_argument(name, **options)
     return parser
 

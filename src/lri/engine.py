@@ -75,13 +75,16 @@ class _Island:
 
     `axiom_tops` are the axioms' top literals; `hypotheses` holds
     domain-wide hypothesis indices, ascending; `maximal` caches the island's
-    maximal consistent selections once swept.
+    maximal consistent selections once swept.  Until then `consistency`
+    memoizes the answers its searches gave, by the selection's part in the
+    island; the sweep empties it, since `maximal` answers every part.
     """
 
     def __init__(self, axiom_tops, hypotheses) -> None:
         self.axiom_tops: tuple[int, ...] = axiom_tops
         self.hypotheses: tuple[int, ...] = hypotheses
         self.maximal: Optional[tuple[frozenset[int], ...]] = None
+        self.consistency: dict[frozenset[int], bool] = {}
 
 
 class DomainOfRules:
@@ -98,11 +101,12 @@ class DomainOfRules:
     persistent store, and every search assumes the top literals of the
     axioms and selected hypotheses of the islands its question touches, so
     only their definitions take part.  The decisions of one question are
-    summed over its searches against `max_decisions`.  Consistency is
-    memoized per island and selection within the island, because the
-    position and context machinery revisits the same selections many times;
-    entailment is memoized for the latest conclusion only (see
-    `selection_entails`).
+    summed over its searches against `max_decisions`.  Each island answers
+    consistency from its maximal selections once swept, and from a memo of
+    its searches before, because the position and context machinery
+    revisits the same selections many times; entailment is memoized for the
+    latest conclusion only (see `selection_entails`).  Every conclusion is
+    checked to be ground when first asked (`_ask`).
     """
 
     def __init__(
@@ -163,8 +167,6 @@ class DomainOfRules:
                     dict.fromkeys(rule_atoms[i], number)
                 )
 
-        self._consistency: dict[tuple[int, frozenset[int]], bool] = {}
-        self._maximal: Optional[tuple[frozenset[int], ...]] = None
         self._question()
         for number in range(len(self._islands)):
             if not self._island_consistent(number, frozenset()):
@@ -224,17 +226,15 @@ class DomainOfRules:
         Nothing asserted (an island without axioms, asked of no hypotheses)
         is satisfiable without a search.
         """
-        key = (number, part)
-        known = self._consistency.get(key)
+        island = self._islands[number]
+        known = island.consistency.get(part)
         if known is None:
-            island = self._islands[number]
             if island.maximal is not None:
-                known = any(part <= m for m in island.maximal)
-            else:
-                tops = list(island.axiom_tops)
-                tops += [self._hyp_tops[i] for i in sorted(part)]
-                known = not tops or self._satisfiable(tops)
-            self._consistency[key] = known
+                return any(map(part.issubset, island.maximal))
+            tops = list(island.axiom_tops)
+            tops += [self._hyp_tops[i] for i in sorted(part)]
+            known = not tops or self._satisfiable(tops)
+            island.consistency[part] = known
         return known
 
     def _island_maximal(self, number: int) -> tuple[frozenset[int], ...]:
@@ -242,7 +242,8 @@ class DomainOfRules:
 
         The subset sweep tries selections largest first, so a consistent one
         is maximal unless an accepted one contains it, and then it is never
-        asked; each consistency check is its own question.
+        asked; each consistency check is its own question.  The island's
+        memo is emptied once the sweep ends.
         """
         island = self._islands[number]
         if island.maximal is None:
@@ -253,6 +254,7 @@ class DomainOfRules:
 
             sizes = range(len(island.hypotheses), -1, -1)
             island.maximal = _sweep(island.hypotheses, sizes, fits)
+            island.consistency.clear()
         return island.maximal
 
     def consistent(self, chosen: frozenset[int]) -> bool:
@@ -268,9 +270,11 @@ class DomainOfRules:
         """Make conclusion the latest one asked; the islands sharing its atoms.
 
         Only a conclusion other than the latest replaces the remembered
-        state (see `selection_entails`), so each is walked once.
+        state (see `selection_entails`), so each is walked, and checked to
+        be ground, once.
         """
         if conclusion != self._asked:
+            require_ground(conclusion, "conclusion")
             self._builder.rollback(self._rules_only)
             self._countered.clear()
             self._touched = frozenset(
@@ -348,7 +352,6 @@ class Position(Record):
         )
 
     def entails(self, conclusion: Formula) -> bool:
-        require_ground(conclusion, "conclusion")
         return self.domain.selection_entails(self.chosen, conclusion)
 
 
@@ -448,13 +451,14 @@ def maximal_positions(domain: DomainOfRules) -> list[Position]:
 
     A selection is maximal exactly when its part in every island is, so the
     positions are the products of the islands' maximal selections.  They are
-    returned sorted by their index tuples in ascending order.  The domain
-    caches the selections, not the positions, so nothing it holds refers
-    back to it and it is freed by reference counting.
+    returned sorted by their index tuples in ascending order.  Each island
+    caches its selections, and every call joins them again; nothing the
+    domain holds refers back to it, so it is freed by reference counting.
     """
-    if domain._maximal is None:
-        domain._maximal = tuple(_joined(domain, range(len(domain._islands))))
-    return [_proved(Position, domain, chosen) for chosen in domain._maximal]
+    return [
+        _proved(Position, domain, chosen)
+        for chosen in _joined(domain, range(len(domain._islands)))
+    ]
 
 
 def reasonably_infers(
@@ -471,7 +475,6 @@ def reasonably_infers(
     the first entailing part over the touched islands with the first
     maximal selection of every other island, and no other position is built.
     """
-    require_ground(conclusion, "conclusion")
     touched = domain._ask(conclusion)
     part = next(
         (
@@ -509,7 +512,6 @@ def justifications(
     selection of its islands (inconsistent) is answered from the swept
     islands without a search.  Survivors get one entailment check each.
     """
-    require_ground(conclusion, "conclusion")
     touched = sorted(domain._ask(conclusion))
     for number in touched:
         domain._island_maximal(number)

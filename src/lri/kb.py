@@ -65,23 +65,25 @@ class KnowledgeBase(Record):
 
         New predicates are fine (queries may probe fresh atoms); new
         constants are rejected when the base declared its constant list,
-        because they would silently change the grounding domain.  A rejected
-        statement leaves the signature as it was.
+        because they would silently change the grounding domain.  The
+        statement is first parsed and grounded against a copy of the
+        signature, so one refused for any reason (bad syntax, a clashing
+        arity, an undeclared constant, nothing to ground over) leaves the
+        signature as it was.
         """
-        return ground(self._parse(parse_formula, text), self.signature)
+        return self._read(lambda sig: ground(parse_formula(text, sig), sig))
 
     def ground_statements(self, text: str) -> tuple[Formula, ...]:
         """Parse period-terminated statements and ground each, as parse_query."""
-        return _ground_all(self._parse(parse_statements, text), self.signature)
+        return self._read(
+            lambda sig: _ground_all(parse_statements(text, sig), sig)
+        )
 
-    def _parse(self, parse, text: str):
-        # A trial parse on a copy refuses new constants before the shared
-        # signature declares them.
-        if self.declared_constants is not None:
-            trial = Signature(self.signature.predicates, self.signature.constants)
-            parse(text, trial)
-            _check_constants(trial, self.declared_constants)
-        return parse(text, self.signature)
+    def _read(self, read):
+        trial = Signature(self.signature.predicates, self.signature.constants)
+        read(trial)
+        _check_constants(trial, self.declared_constants)
+        return read(self.signature)
 
 
 def _check_constants(

@@ -11,9 +11,10 @@ import pytest
 
 from lri import cli, cnf, engine
 from lri.cli import ReplSession
-from lri.kb import loads
+from lri.kb import load, loads
 
-PERMIT_SAMPLE = str(Path(__file__).resolve().parents[1] / "samples/permit.lri")
+ROOT = Path(__file__).resolve().parents[1]
+PERMIT_SAMPLE = str(ROOT / "samples/permit.lri")
 
 PERMIT_TEXT = """\
 axioms:
@@ -587,6 +588,34 @@ def test_repl_refused_constant_leaves_the_session_usable(tmp_path):
     target = tmp_path / "out.lri"
     session.handle(f"save {target}")
     assert target.read_text(encoding="utf-8").splitlines()[0] == "constants: a b"
+
+
+def test_repl_refused_query_leaves_an_open_base_as_it_was(tmp_path):
+    session = ReplSession(
+        loads("axioms:\n    p(a).\nhypotheses:\n    p(a) -> q(a).\n")
+    )
+    doc = session.handle("infer p(zz) & (")
+    assert doc["diagnostics"]["error"] == "FormulaSyntaxError"
+    assert session.handle("infer p(X)")["verdict"] == "reasonable"
+    target = tmp_path / "out.lri"
+    session.handle(f"save {target}")
+    assert target.read_text(encoding="utf-8").splitlines()[0] == "constants: a"
+    session = ReplSession(load(str(ROOT / "tests/data/golden/permit.lri")))
+    assert session.handle("infer newp(a) & (")["verdict"] == "error"
+    assert session.handle("infer newp")["verdict"] == "not-reasonable"
+
+
+@pytest.mark.parametrize("line", ["positions foo", "quit now"])
+def test_repl_refuses_an_operand_a_command_does_not_take(line):
+    session = _session()
+    assert session.handle(line)["diagnostics"] == {
+        "error": "InputError",
+        "message": f"unexpected operand {line.split()[1]!r}",
+    }
+    assert session.handle("positions")["verdict"] == {"count": 3}
+    assert session.handle("retract-hyp")["diagnostics"]["message"] == (
+        "retract-hyp needs an index, got ''"
+    )
 
 
 @pytest.mark.parametrize("rule", DEEP_RULES, ids=["parentheses", "disjunction"])

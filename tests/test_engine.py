@@ -106,6 +106,12 @@ def test_every_groundness_check_names_its_role(permit_domain):
             check()
 
 
+def test_selection_entails_refuses_a_schema(permit_domain):
+    schema = parse_formula("acts(X)", permit_domain.signature)
+    with pytest.raises(ValueError, match=r"^conclusion not ground: acts\(X\)$"):
+        permit_domain.selection_entails(frozenset({0}), schema)
+
+
 def test_empty_hypothesis_list_allowed():
     domain = build_domain(["p"], [])
     assert _index_sets(maximal_positions(domain)) == [[]]

@@ -7,7 +7,9 @@ import pytest
 
 import lri.formula
 from lri import (
+    ArityMismatch,
     Atom,
+    EmptyDomain,
     FormulaSyntaxError,
     Not,
     UnknownSymbol,
@@ -199,6 +201,31 @@ def test_rejected_constant_leaves_the_signature_unchanged():
     assert kb.signature.constants == ("a",)
     assert not kb.signature.has_predicate("q")
     assert _texts(kb.ground_statements("q(X). r(a).")) == ["q(a)", "r(a)"]
+
+
+def test_a_refused_statement_leaves_an_open_signature_unchanged():
+    """Without a constants line a refused statement declares nothing either.
+
+    Bad syntax after a new constant or predicate, a clashing arity and a
+    schema with nothing to ground over are each refused before the
+    signature sees the statement.
+    """
+    kb = loads("axioms:\n    p(a).\nhypotheses:\n    p(a) -> q(a).\n")
+    with pytest.raises(FormulaSyntaxError):
+        kb.parse_query("p(zz) & (")
+    with pytest.raises(FormulaSyntaxError):
+        kb.ground_statements("r(a). s(zz) & (.")
+    with pytest.raises(ArityMismatch):
+        kb.parse_query("t(a) & p(a, zz)")
+    assert kb.signature.constants == ("a",)
+    for name in ("r", "s", "t"):
+        assert not kb.signature.has_predicate(name)
+    assert _texts(kb.parse_query("p(X)")) == ["p(a)"]
+    empty = loads("axioms:\n    p.\n")
+    with pytest.raises(EmptyDomain):
+        empty.parse_query("r(X)")
+    assert not empty.signature.has_predicate("r")
+    assert _texts(empty.parse_query("r")) == ["r"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import lri.sat
 from bruteforce import DomainOracle, random_domain, random_formula
 from lri import (
     And,
@@ -78,6 +79,29 @@ def test_exclusion_chains_match_the_oracle(n, ring):
     positions = _check(axioms, hypotheses, list(dict.fromkeys(conclusions)))
     if n == 10 and not ring:
         assert len(positions) == 16
+
+
+def test_a_swept_island_keeps_only_its_maximal_selections(monkeypatch):
+    """The sweep empties the island's memo; its selections answer the rest.
+
+    Before the sweep the memo holds what construction asked (the empty
+    selection); the sweep of the n = 10 path asks 896 more, and none is
+    kept, yet every selection is then answered without a search.
+    """
+    axioms, hypotheses = _exclusions(10, ring=False)
+    domain = new_domain(axioms, hypotheses)
+    (island,) = domain._islands
+    assert island.consistency == {frozenset(): True}
+    assert len(maximal_positions(domain)) == 16
+    assert island.consistency == {}
+    solves = []
+    monkeypatch.setattr(lri.sat, "solve", lambda *args: solves.append(args))
+    oracle = DomainOracle(axioms, hypotheses)
+    for mask in range(1 << 10):
+        chosen = frozenset(i for i in range(10) if mask >> i & 1)
+        assert domain.consistent(chosen) is oracle.consistent(mask), chosen
+    assert solves == []
+    assert island.consistency == {}
 
 
 @pytest.mark.parametrize("seed", range(12))
