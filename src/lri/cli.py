@@ -852,6 +852,11 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     Known options are the verb's own and the common ones in the verb table,
     plus argparse's own help; as in argparse, a long option may be written
     as any prefix that names only one of them.
+
+    A known option (with its value) that follows the verb's first
+    positional is moved ahead of the positionals: argparse gives a
+    `nargs="*"` positional nothing when an option comes between it and
+    the positional before it, so `context F --pretty q` would refuse `q`.
     """
     out = list(argv)
     verb = _VERBS.get(next((t for t in out if not t.startswith("-")), ""))
@@ -864,25 +869,32 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     flags.update(name for name, kw in options if kw.get("action") == "store_true")
     valued = {name for name, _ in options} - flags
     known = flags | valued
-    i = 0
+    # Where the verb and the tokens after it that are not options stand;
+    # words[1], the first positional, is where a later option goes.
+    i, words = 0, []
     while i < len(out):
         token = out[i]
         if token == "--":
             break
-        if token.startswith("-"):
-            name, value, _ = token.partition("=")
-            if name not in known and name.startswith("--"):
-                named = [o for o in known if o.startswith(name)]
-                name = named[0] if len(named) == 1 else name
-            if name in flags and not value:
-                i += 1
-                continue
-            if name in valued:
-                i += 1 if value else 2
-                continue
+        if not token.startswith("-"):
+            words.append(i)
+            i += 1
+            continue
+        name, value, _ = token.partition("=")
+        if name not in known and name.startswith("--"):
+            named = [o for o in known if o.startswith(name)]
+            name = named[0] if len(named) == 1 else name
+        if name in flags and not value:
+            step = 1
+        elif name in valued:
+            step = 1 if value else 2
+        else:
             out.insert(i, "--")
             break
-        i += 1
+        if len(words) > 1 and i + step <= len(out):
+            out[words[1]:i + step] = out[i:i + step] + out[words[1]:i]
+            words[1] += step
+        i += step
     return out
 
 

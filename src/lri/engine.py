@@ -25,7 +25,8 @@ Every question is answered per island: a group of axioms and hypotheses
 that shares no atom with the rest of the domain.  A selection is consistent
 exactly when its part in each island is, so maximal positions are products
 of per-island maximal selections, and a conclusion depends only on the
-islands whose atoms it mentions.
+islands whose atoms it mentions.  Likewise contexts are chosen per group of
+queries whose justifications share an island, and joined as a product.
 
 Maximal positions and justifications are two calls of one subset sweep,
 `_sweep`: an island's maximal selections are swept largest first, a
@@ -574,9 +575,16 @@ def maximal_consistent_contexts(
     its justifications without breaking consistency.  Queries with no
     justification at all (not reasonably inferable) are simply never covered.
 
-    The result order follows the enumeration: for each query in input order,
-    covering justifications in their `justifications` order before leaving
-    the query out.
+    Queries whose justifications share an island form a group (a query
+    with none, or only the empty one, stands alone).  A union is consistent
+    exactly when each island's part is, and covering a left-out query
+    changes only its own group's islands, so the combinations are tried
+    within each group only, and the contexts join one kept combination per
+    group.
+
+    The result order is that of one product over all queries: for each
+    query in input order, covering justifications in their `justifications`
+    order before leaving the query out.
     """
     query_list = list(queries)
     for q in query_list:
@@ -588,23 +596,35 @@ def maximal_consistent_contexts(
             f"too many query formulas (limit {MAX_CONTEXT_QUERIES})"
         )
 
-    options = [justifications(domain, q) for q in query_list]
-    contexts: list[Context] = []
-    # None in a choice leaves its query out.
-    for choice in itertools.product(*(opts + [None] for opts in options)):
-        union = frozenset().union(
-            *(j.position.chosen for j in choice if j is not None)
-        )
-        if domain.consistent(union) and not any(
-            domain.consistent(union | alt.position.chosen)
-            for opts, j in zip(options, choice) if j is None
-            for alt in opts
-        ):
-            pairs = frozenset(
-                (q, j) for q, j in zip(query_list, choice) if j is not None
+    # Slot c of query k covers it by its c-th justification, or leaves it
+    # out when it is the last slot, None.
+    slots = [justifications(domain, q) + [None] for q in query_list]
+    kept = []
+    for group in atom_groups([
+        {domain._island_of_hyp[i] for j in js[:-1] for i in j.position.chosen}
+        for js in slots
+    ]):
+        kept.append([])
+        for choice in itertools.product(*(range(len(slots[k])) for k in group)):
+            picked = [(k, c, slots[k][c]) for k, c in zip(group, choice)]
+            union = frozenset().union(
+                *(j.position.chosen for _, _, j in picked if j is not None)
             )
-            contexts.append(Context(pairs))
-    return contexts
+            if domain.consistent(union) and not any(
+                domain.consistent(union | alt.position.chosen)
+                for k, _, j in picked if j is None
+                for alt in slots[k][:-1]
+            ):
+                kept[-1].append(picked)
+    # A joined choice lists every query once, in input order, so the joined
+    # choices sort by their slots.
+    joined = sorted(
+        sorted(itertools.chain(*parts)) for parts in itertools.product(*kept)
+    )
+    return [
+        Context(frozenset((query_list[k], j) for k, _, j in choice if j))
+        for choice in joined
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,8 @@ class Signature:
 
     Parsing text against a signature declares new predicates (with the
     arity of their first use) and new constants on sight, and checks the
-    arities of known ones.
+    arities of known ones.  `mark` and `rollback` undo the declarations
+    and atom nodes of a parse that was refused.
 
     `atom` hands out one node per distinct predicate and arguments, checked
     when it is made; the parser and grounding take their atoms from it.
@@ -358,6 +359,22 @@ class Signature:
                 f"name '{name}' is already a predicate", 0
             )
         self._constants[name] = None
+
+    def mark(self) -> tuple[int, int, int]:
+        """The declarations' current extent, for `rollback` to return to."""
+        return len(self._arities), len(self._constants), len(self._nodes)
+
+    def rollback(self, mark: tuple[int, int, int]) -> None:
+        """Forget the predicates, constants and atom nodes made since the mark.
+
+        All three tables keep insertion order, so the newer entries are the
+        last ones.  Parsing and grounding never index an atom, so the
+        registry is left alone.
+        """
+        tables = self._arities, self._constants, self._nodes
+        for table, size in zip(tables, mark):
+            while len(table) > size:
+                table.popitem()
 
     # -- lookups ------------------------------------------------------------
 

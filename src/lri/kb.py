@@ -66,10 +66,10 @@ class KnowledgeBase(Record):
         New predicates are fine (queries may probe fresh atoms); new
         constants are rejected when the base declared its constant list,
         because they would silently change the grounding domain.  The
-        statement is first parsed and grounded against a copy of the
-        signature, so one refused for any reason (bad syntax, a clashing
-        arity, an undeclared constant, nothing to ground over) leaves the
-        signature as it was.
+        statement is parsed and grounded once, on the base's signature; one
+        refused for any reason (bad syntax, a clashing arity, an undeclared
+        constant, nothing to ground over, too deep a nesting) is rolled
+        back, so the signature is left as it was.
         """
         return self._read(lambda sig: ground(parse_formula(text, sig), sig))
 
@@ -80,10 +80,14 @@ class KnowledgeBase(Record):
         )
 
     def _read(self, read):
-        trial = Signature(self.signature.predicates, self.signature.constants)
-        read(trial)
-        _check_constants(trial, self.declared_constants)
-        return read(self.signature)
+        mark = self.signature.mark()
+        try:
+            formulas = read(self.signature)
+            _check_constants(self.signature, self.declared_constants)
+        except BaseException:
+            self.signature.rollback(mark)
+            raise
+        return formulas
 
 
 def _check_constants(

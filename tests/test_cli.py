@@ -156,6 +156,34 @@ def test_context_accepts_explicit_queries(capsys, permit_file):
     assert len(doc["contexts"][0]["pairs"]) == 2
 
 
+@pytest.mark.parametrize(
+    "options", [["--pretty"], ["--max-decisions", "50"], ["--max=50"]]
+)
+def test_context_takes_options_among_its_queries(capsys, permit_file, options):
+    """An option may follow the file or a query, up to a negated query.
+
+    argparse alone gives the queries nothing when an option comes between
+    them and the file, and refuses `perm` in `context F --pretty perm`.
+    """
+    contested = run_cli(capsys, "context", *options, permit_file, "perm", "-perm")
+    assert contested[0] == 0
+    assert "unrecognized" not in contested[2]
+    for argv in (
+        [permit_file, *options, "perm", "-perm"],
+        [permit_file, "perm", *options, "-perm"],
+    ):
+        assert run_cli(capsys, "context", *argv) == contested
+    joint = run_cli(capsys, "context", *options, permit_file, "perm", "ex")
+    assert joint[0] == 0
+    for argv in (
+        [permit_file, *options, "perm", "ex"],
+        [permit_file, "perm", *options, "ex"],
+        [permit_file, "perm", "ex", *options],
+    ):
+        assert run_cli(capsys, "context", *argv) == joint
+    assert joint != contested
+
+
 def test_context_for_impossible_query_is_empty(capsys, permit_file):
     code, doc, _ = run_json(capsys, "context", permit_file, "perm & -perm")
     assert code == 0

@@ -112,13 +112,31 @@ def test_multi_island_answers_match_oracle(seed):
         assert (sorted(witness.chosen) if witness else None) == first
 
     picked = queries[:4]
-    contexts = [
+    assert _contexts(domain, picked) == _reference_contexts(oracle, picked)
+
+
+def _contexts(domain, queries) -> list[list]:
+    return [
         sorted(
             (print_formula(q), sorted(j.position.chosen)) for q, j in c.pairs
         )
-        for c in maximal_consistent_contexts(domain, picked)
+        for c in maximal_consistent_contexts(domain, queries)
     ]
-    assert contexts == _reference_contexts(oracle, picked)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_contexts_of_queries_across_islands_match_oracle(seed):
+    """Six hypotheses, which the shuffle spreads over the islands, a query
+    across two islands and one inside the last, asked together."""
+    axioms, hypotheses, island_atoms, rng = _corpus(seed)
+    first, second, last = island_atoms[0], island_atoms[1], island_atoms[-1]
+    picked = list(dict.fromkeys(hypotheses[:6] + [
+        Or(random_formula(rng, first, 1), random_formula(rng, second, 1)),
+        random_formula(rng, last, 2),
+    ]))
+    domain = new_domain(axioms, hypotheses)
+    oracle = DomainOracle(axioms, hypotheses, extra=picked)
+    assert _contexts(domain, picked) == _reference_contexts(oracle, picked)
 
 
 def test_budget_is_summed_over_islands():
@@ -196,6 +214,58 @@ def _paired_exceptions(k: int) -> tuple[list[Formula], list[Formula]]:
         axioms.append(And(p, e))
         hypotheses += [Implies(p, q), Implies(e, Not(q))]
     return axioms, hypotheses
+
+
+def test_interleaved_query_groups_join_in_the_documented_order():
+    """Island i's group covers `w_i` and then `x_i | y_i` two ways.
+
+    The groups interleave in the query order, so the joined contexts
+    come out in the documented order only once they are sorted.
+    """
+    axioms, hypotheses = [], []
+    for i in range(2):
+        w, x, y = (Atom(f"{name}{i}") for name in "wxy")
+        axioms.append(And(Not(And(x, y)), Or(w, Not(w))))
+        hypotheses += [w, x, y]
+    queries = [
+        Atom("w0"), Atom("w1"),
+        Or(Atom("x1"), Atom("y1")), Or(Atom("x0"), Atom("y0")),
+    ]
+    domain = new_domain(axioms, hypotheses)
+    oracle = DomainOracle(axioms, hypotheses, extra=queries)
+    expected = _reference_contexts(oracle, queries)
+    assert len(expected) == 4
+    assert _contexts(domain, queries) == expected
+
+
+def test_contexts_cost_grows_with_the_islands_not_their_product(monkeypatch):
+    """`q_i` and `-q_i` for 6 islands: each pair is settled on its island.
+
+    Island i's context covers `q_i` by hypothesis 2i or `-q_i` by 2i + 1,
+    `q_i` first, so the 64 contexts are the product of the islands' two.
+    """
+    axioms, hypotheses = _paired_exceptions(6)
+    queries = [f for i in range(6) for f in (Atom(f"q{i}"), Not(Atom(f"q{i}")))]
+    domain = new_domain(axioms, hypotheses)
+    calls: list[frozenset[int]] = []
+    real_consistent = lri.engine.DomainOfRules.consistent
+
+    def counting_consistent(self, chosen):
+        calls.append(chosen)
+        return real_consistent(self, chosen)
+
+    monkeypatch.setattr(
+        lri.engine.DomainOfRules, "consistent", counting_consistent
+    )
+    expected = [
+        sorted(
+            (print_formula(queries[2 * i + side]), [2 * i + side])
+            for i, side in enumerate(sides)
+        )
+        for sides in itertools.product((0, 1), repeat=6)
+    ]
+    assert _contexts(domain, queries) == expected
+    assert len(calls) < 200
 
 
 def _variety_bases():

@@ -228,6 +228,75 @@ def test_a_refused_statement_leaves_an_open_signature_unchanged():
     assert _texts(empty.parse_query("r")) == ["r"]
 
 
+_DEEP = "fresh(zz) & " + "-" * 5000 + "q"
+# Bases with and without a constants line, and with and without constants.
+_REFUSALS = {
+    "axioms:\n    p(a).\nhypotheses:\n    p(a) -> q.\n": [
+        ("fresh(zz) & (", FormulaSyntaxError),
+        ("fresh(zz) & q(zz, zz)", ArityMismatch),
+        (_DEEP, RecursionError),
+    ],
+    "constants: a\naxioms:\n    p(a).\nhypotheses:\n    p(a) -> q.\n": [
+        ("fresh(zz) & (", FormulaSyntaxError),
+        ("fresh(zz) & q(zz, zz)", ArityMismatch),
+        ("fresh(a) & p(zz)", UnknownSymbol),
+        ("fresh(X) -> p(X) | p(zz)", UnknownSymbol),
+        (_DEEP, RecursionError),
+    ],
+    "axioms:\n    q.\n": [
+        ("fresh & r(X)", EmptyDomain),
+        ("fresh(zz) & (", FormulaSyntaxError),
+        (_DEEP, RecursionError),
+    ],
+    "constants:\naxioms:\n    q.\n": [
+        ("fresh & r(X)", EmptyDomain),
+        ("fresh(zz)", UnknownSymbol),
+        (_DEEP, RecursionError),
+    ],
+}
+
+
+@pytest.mark.parametrize("text", _REFUSALS)
+def test_a_refused_statement_is_rolled_back(text):
+    """A refused query or statement leaves no name and no atom node behind."""
+    kb = loads(text)
+    signature = kb.signature
+
+    def declared():
+        return (
+            signature.predicates,
+            signature.constants,
+            list(signature._nodes.items()),
+        )
+
+    before = declared()
+    for query, error in _REFUSALS[text]:
+        with pytest.raises(error):
+            kb.parse_query(query)
+        assert declared() == before, query
+        with pytest.raises(error):
+            kb.ground_statements("q. " + query + ".")
+        assert declared() == before, query
+
+
+def test_a_query_is_read_in_one_lexer_pass(monkeypatch):
+    passes = []
+    real = lri.formula._tokenize
+
+    def counted(text):
+        passes.append(text)
+        return real(text)
+
+    monkeypatch.setattr(lri.formula, "_tokenize", counted)
+    kb = loads("constants: a b\naxioms:\n    p(a).\n")
+    passes.clear()
+    assert _texts(kb.parse_query("p(X) & -q")) == ["(p(a) & -q)", "(p(b) & -q)"]
+    assert passes == ["p(X) & -q"]
+    passes.clear()
+    assert _texts(kb.ground_statements("q. p(X).")) == ["q", "p(a)", "p(b)"]
+    assert passes == ["q. p(X)."]
+
+
 # ---------------------------------------------------------------------------
 # round-trips
 

@@ -20,7 +20,7 @@ PINNED = {
     "islands": {
         "sat.solve_calls": 162,
         "sat.decisions": 0,
-        "engine.consistent_calls": 136,
+        "engine.consistent_calls": 87,
         "engine.entails_calls": 45,
     },
     "grounded": {
