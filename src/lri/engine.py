@@ -537,16 +537,12 @@ def justifications(
 
 
 def _context_domain(context: Context) -> Optional[DomainOfRules]:
-    domains = []
-    for _, justification in context.pairs:
-        domain = justification.position.domain
-        if not any(domain == d for d in domains):
-            domains.append(domain)
+    domains = {j.position.domain for _, j in context.pairs}
     if len(domains) > 1:
         raise MixedDomains(
             "context mixes justifications from different domains of rules"
         )
-    return domains[0] if domains else None
+    return next(iter(domains), None)
 
 
 def is_consistent_context(context: Context) -> bool:

@@ -38,7 +38,7 @@ import copy
 import itertools
 from contextlib import contextmanager
 from functools import reduce
-from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import DomainOfRules, maximal_positions
 from .errors import IncompleteRenaming
@@ -204,15 +204,6 @@ class ProbeUniverse:
         return formula in self.formulas
 
 
-Probe = Union[ProbeUniverse, Sequence[Formula]]
-
-
-def _probe_formulas(probe: Probe) -> tuple[Formula, ...]:
-    if isinstance(probe, ProbeUniverse):
-        return probe.formulas
-    return ProbeUniverse(probe).formulas
-
-
 class Variety:
     """An indexed family of calculi amalgamated into one language.
 
@@ -350,7 +341,7 @@ def variety_of(domain: DomainOfRules) -> Variety:
 
 
 def upper_level(
-    v: Variety, probe: Probe, max_decisions: Optional[int] = None
+    v: Variety, probe: Iterable[Formula], max_decisions: Optional[int] = None
 ) -> tuple[Formula, ...]:
     """Probe formulas that are theorems of at least one component.
 
@@ -361,7 +352,7 @@ def upper_level(
     """
     with v._asking(max_decisions) as domain:
         return tuple(
-            phi for phi in _probe_formulas(probe)
+            phi for phi in ProbeUniverse(probe).formulas
             if any(domain.selection_entails(s, phi) for s in v._selections)
         )
 
@@ -440,7 +431,7 @@ class DepthCheckResult(Record):
 def check_variety_depth(
     v: Variety,
     k: int,
-    probe: Probe,
+    probe: Iterable[Formula],
     max_decisions: Optional[int] = None,
 ) -> DepthCheckResult:
     """Verify that k-wise component intersections are calculus-generated.
@@ -463,7 +454,7 @@ def check_variety_depth(
     selections = v._selections
     failure: Optional[tuple[tuple[int, ...], Formula]] = None
     with v._asking(max_decisions) as domain:
-        for phi in _probe_formulas(probe):
+        for phi in ProbeUniverse(probe).formulas:
             holding = {
                 i for i, s in enumerate(selections)
                 if domain.selection_entails(s, phi)

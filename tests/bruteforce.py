@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
@@ -161,6 +161,48 @@ class DomainOracle:
             if not any(t != s and t & s == t for t in entailing)
         ]
         return {frozenset(_bits(s)) for s in minimal}
+
+    def ordered_justifications(self, phi: Formula) -> list[list[int]]:
+        """The justifications as index lists, by size, then index tuple."""
+        return sorted(
+            (sorted(s) for s in self.justifications(phi)),
+            key=lambda s: (len(s), s),
+        )
+
+    def contexts(
+        self, queries: Sequence[Formula]
+    ) -> list[list[tuple[int, list[int]]]]:
+        """Maximal consistent contexts in lri's documented order.
+
+        One product over the queries in input order: each query is covered
+        by one of its ordered justifications, or left out after them.  A
+        choice is kept when the union of its selections is consistent and
+        no left-out query can be covered without breaking that.  Each
+        context lists its (query index, selection) pairs in query order.
+        """
+        options = [self.ordered_justifications(q) for q in queries]
+        out = []
+        for choice in product(*(range(len(o) + 1) for o in options)):
+            covered = [
+                (k, options[k][c]) for k, c in enumerate(choice)
+                if c < len(options[k])
+            ]
+            union = selection_mask(i for _, s in covered for i in s)
+            if self.consistent(union) and not any(
+                self.consistent(union | selection_mask(alternative))
+                for k, c in enumerate(choice) if c == len(options[k])
+                for alternative in options[k]
+            ):
+                out.append(covered)
+        return out
+
+
+def selection_mask(indices: Iterable[int]) -> int:
+    """The selection bitmask of some hypothesis indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def _bits(selection: int):

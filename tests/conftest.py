@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from lri import DomainOfRules, Signature, parse_formula
+from lri import DomainOfRules, Signature, maximal_consistent_contexts
+from lri import parse_formula
 from lri.cnf import CnfBuilder
 
 # Tests that start `python -m lri` need the checkout's package in the child
@@ -20,6 +21,19 @@ def build_domain(axiom_texts, hypothesis_texts, max_decisions=None):
     axioms = [parse_formula(t, sig) for t in axiom_texts]
     hypotheses = [parse_formula(t, sig) for t in hypothesis_texts]
     return DomainOfRules(axioms, hypotheses, sig, max_decisions)
+
+
+def context_pairs(domain, queries):
+    """The domain's contexts as (query index, sorted selection) pairs.
+
+    This is the form `bruteforce.DomainOracle.contexts` and the families in
+    `tests/families.py` give them in.
+    """
+    index = {q: k for k, q in enumerate(queries)}
+    return [
+        sorted((index[q], sorted(j.position.chosen)) for q, j in c.pairs)
+        for c in maximal_consistent_contexts(domain, queries)
+    ]
 
 
 def solver_problem(formulas, signature):

@@ -5,14 +5,15 @@ apart, then shuffles the hypotheses so that islands interleave in the index
 order.  The engine answers per island; the oracle sweeps the whole domain.
 """
 
-import itertools
 import random
 
 import pytest
 
 import lri.engine
-from bruteforce import DomainOracle, random_formula
+from bruteforce import DomainOracle, random_formula, selection_mask
 from bruteforce import glued_corpus as _corpus
+from conftest import context_pairs
+from families import paired_exceptions
 from lri import (
     And,
     Atom,
@@ -24,7 +25,6 @@ from lri import (
     ResourceLimit,
     in_reasonable_theory,
     justifications,
-    maximal_consistent_contexts,
     maximal_positions,
     new_domain,
     print_formula,
@@ -55,40 +55,6 @@ def _queries(rng: random.Random, island_atoms) -> list[Formula]:
     return list(dict.fromkeys(out))
 
 
-def _entails(oracle: DomainOracle, selection, phi) -> bool:
-    return oracle.entails(sum(1 << i for i in selection), phi)
-
-
-def _ordered(found) -> list[list[int]]:
-    return sorted((sorted(s) for s in found), key=lambda s: (len(s), s))
-
-
-def _reference_contexts(oracle: DomainOracle, queries) -> list[list]:
-    """Contexts in the documented order, from oracle justifications."""
-    options = [_ordered(oracle.justifications(q)) for q in queries]
-
-    def consistent(parts) -> bool:
-        return oracle.consistent(sum(1 << i for i in set().union(*parts)))
-
-    out = []
-    for choice in itertools.product(*(range(len(o) + 1) for o in options)):
-        covered = [
-            (i, options[i][j]) for i, j in enumerate(choice) if j < len(options[i])
-        ]
-        chosen = [set(s) for _, s in covered]
-        if not consistent(chosen):
-            continue
-        if any(
-            consistent(chosen + [set(alternative)])
-            for i, j in enumerate(choice)
-            if j == len(options[i])
-            for alternative in options[i]
-        ):
-            continue
-        out.append(sorted((print_formula(queries[i]), s) for i, s in covered))
-    return out
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_multi_island_answers_match_oracle(seed):
     axioms, hypotheses, island_atoms, rng = _corpus(seed)
@@ -102,26 +68,21 @@ def test_multi_island_answers_match_oracle(seed):
 
     for phi in queries:
         found = [sorted(j.position.chosen) for j in justifications(domain, phi)]
-        assert found == _ordered(oracle.justifications(phi)), print_formula(phi)
+        assert found == oracle.ordered_justifications(phi), print_formula(phi)
 
         witness = reasonably_infers(domain, phi)
         first = next(
-            (p for p in expected_positions if _entails(oracle, p, phi)), None
+            (
+                p for p in expected_positions
+                if oracle.entails(selection_mask(p), phi)
+            ),
+            None,
         )
         assert oracle.reasonable(phi) is (witness is not None)
         assert (sorted(witness.chosen) if witness else None) == first
 
     picked = queries[:4]
-    assert _contexts(domain, picked) == _reference_contexts(oracle, picked)
-
-
-def _contexts(domain, queries) -> list[list]:
-    return [
-        sorted(
-            (print_formula(q), sorted(j.position.chosen)) for q, j in c.pairs
-        )
-        for c in maximal_consistent_contexts(domain, queries)
-    ]
+    assert context_pairs(domain, picked) == oracle.contexts(picked)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -136,7 +97,7 @@ def test_contexts_of_queries_across_islands_match_oracle(seed):
     ]))
     domain = new_domain(axioms, hypotheses)
     oracle = DomainOracle(axioms, hypotheses, extra=picked)
-    assert _contexts(domain, picked) == _reference_contexts(oracle, picked)
+    assert context_pairs(domain, picked) == oracle.contexts(picked)
 
 
 def test_budget_is_summed_over_islands():
@@ -206,16 +167,6 @@ def test_query_definitions_do_not_pile_up(permit_domain, monkeypatch):
     assert check_size() == before
 
 
-def _paired_exceptions(k: int) -> tuple[list[Formula], list[Formula]]:
-    """k islands {p_i & e_i; p_i -> q_i, e_i -> -q_i}: 2^k positions."""
-    axioms, hypotheses = [], []
-    for i in range(k):
-        p, e, q = Atom(f"p{i}"), Atom(f"e{i}"), Atom(f"q{i}")
-        axioms.append(And(p, e))
-        hypotheses += [Implies(p, q), Implies(e, Not(q))]
-    return axioms, hypotheses
-
-
 def test_interleaved_query_groups_join_in_the_documented_order():
     """Island i's group covers `w_i` and then `x_i | y_i` two ways.
 
@@ -233,9 +184,9 @@ def test_interleaved_query_groups_join_in_the_documented_order():
     ]
     domain = new_domain(axioms, hypotheses)
     oracle = DomainOracle(axioms, hypotheses, extra=queries)
-    expected = _reference_contexts(oracle, queries)
+    expected = oracle.contexts(queries)
     assert len(expected) == 4
-    assert _contexts(domain, queries) == expected
+    assert context_pairs(domain, queries) == expected
 
 
 def test_contexts_cost_grows_with_the_islands_not_their_product(monkeypatch):
@@ -244,8 +195,7 @@ def test_contexts_cost_grows_with_the_islands_not_their_product(monkeypatch):
     Island i's context covers `q_i` by hypothesis 2i or `-q_i` by 2i + 1,
     `q_i` first, so the 64 contexts are the product of the islands' two.
     """
-    axioms, hypotheses = _paired_exceptions(6)
-    queries = [f for i in range(6) for f in (Atom(f"q{i}"), Not(Atom(f"q{i}")))]
+    axioms, hypotheses, _, _, queries, expected = paired_exceptions(6)
     domain = new_domain(axioms, hypotheses)
     calls: list[frozenset[int]] = []
     real_consistent = lri.engine.DomainOfRules.consistent
@@ -257,14 +207,8 @@ def test_contexts_cost_grows_with_the_islands_not_their_product(monkeypatch):
     monkeypatch.setattr(
         lri.engine.DomainOfRules, "consistent", counting_consistent
     )
-    expected = [
-        sorted(
-            (print_formula(queries[2 * i + side]), [2 * i + side])
-            for i, side in enumerate(sides)
-        )
-        for sides in itertools.product((0, 1), repeat=6)
-    ]
-    assert _contexts(domain, queries) == expected
+    assert len(expected) == 64
+    assert context_pairs(domain, queries) == expected
     assert len(calls) < 200
 
 
@@ -277,7 +221,7 @@ def _variety_bases():
         ]
         yield f"corpus {seed}", axioms, hypotheses, probe
     for k in (4, 8):
-        axioms, hypotheses = _paired_exceptions(k)
+        axioms, hypotheses, *_ = paired_exceptions(k)
         q = [Atom(f"q{i}") for i in range(k)]
         probe = [
             q[0], Not(q[1]), And(q[0], q[1]), Or(q[2], Not(q[3])),

@@ -20,11 +20,10 @@ from bruteforce import (
     random_formula,
     random_variety,
 )
+from families import paired_exceptions
 from lri import (
-    And,
     Atom,
     Calculus,
-    Implies,
     Not,
     Or,
     ProbeUniverse,
@@ -166,11 +165,7 @@ def test_variety_questions_stay_inside_islands(monkeypatch):
     differ in one island, needs only that island's clauses.
     """
     sig = Signature()
-    axioms, hypotheses = [], []
-    for i in range(6):
-        p, e, q = Atom(f"p{i}"), Atom(f"e{i}"), Atom(f"q{i}")
-        axioms.append(And(p, e))
-        hypotheses += [Implies(p, q), Implies(e, Not(q))]
+    axioms, hypotheses, *_ = paired_exceptions(6)
     v = variety_of(new_domain(axioms, hypotheses, sig))
     assert len(v) == 64
     whole = len(clausify(v.renamed_axioms(0), sig).clauses)
