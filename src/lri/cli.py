@@ -12,12 +12,13 @@ each formula it shows once, and `_json` writes it as the exact bytes of
 `json.dumps(doc, sort_keys=True, indent=2)`, but encodes its strings and
 ints with json's C encoders instead of json's pure-Python indenting one.
 
-Exit codes: 0 success; 2 input could not be parsed or loaded, a formula is
+Exit codes come from `_EXIT_CODES`: 0 success; 3 the axiom set itself is
+inconsistent; 4 the decision budget was exceeded; 5 a query formula grounds
+to more than one instance; 6 invalid component indices.  Every other
+reported error exits 2: input could not be parsed or loaded, a formula is
 nested too deeply for the recursive walkers, the library refused an argument
 (ValueError), or the command line is malformed (argparse usage errors, a
-negative `--max-decisions` among them); 3 the axiom set itself is
-inconsistent; 4 the decision budget was exceeded; 5 a query
-formula grounds to more than one instance; 6 invalid component indices.
+negative `--max-decisions` among them).
 
 The interactive session (`repl`) reads one command per line.  An edit
 replaces the rule base and echoes the recomputed hypothesis indices, the
@@ -65,14 +66,6 @@ from .variety import (
     witness_variety,
 )
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_INCONSISTENT_AXIOMS = 3
-EXIT_RESOURCE = 4
-EXIT_MULTIPLE_GROUNDINGS = 5
-EXIT_BAD_COMPONENTS = 6
-
-
 class _MultipleGroundings(LriError):
     """A batch query grounded to more than one formula instance."""
 
@@ -96,16 +89,14 @@ def _as_lri_error(err: Exception) -> LriError:
     return err if isinstance(err, LriError) else _InputError(str(err))
 
 
-def _exit_code_for(err: LriError) -> int:
-    if isinstance(err, InconsistentAxioms):
-        return EXIT_INCONSISTENT_AXIOMS
-    if isinstance(err, ResourceLimit):
-        return EXIT_RESOURCE
-    if isinstance(err, _MultipleGroundings):
-        return EXIT_MULTIPLE_GROUNDINGS
-    if isinstance(err, _InvalidComponents):
-        return EXIT_BAD_COMPONENTS
-    return EXIT_INPUT
+# The exit code of the first entry the error is an instance of; any other
+# error exits 2.
+_EXIT_CODES = (
+    (InconsistentAxioms, 3),
+    (ResourceLimit, 4),
+    (_MultipleGroundings, 5),
+    (_InvalidComponents, 6),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,9 @@ def _doc(
     }
 
 
-def _error_doc(command: str, input_obj: dict, err: LriError) -> dict:
+def _error_doc(command: str, input_obj: dict, err: Exception) -> dict:
+    """The report of a command that failed with one of `_USER_ERRORS`."""
+    err = _as_lri_error(err)
     return _doc(
         command,
         input_obj,
@@ -568,7 +561,7 @@ class ReplSession:
         try:
             return self._dispatch(word, rest)
         except _USER_ERRORS as err:
-            return _error_doc(word, {"text": rest}, _as_lri_error(err))
+            return _error_doc(word, {"text": rest}, err)
 
     def _dispatch(self, word: str, rest: str) -> Optional[dict]:
         verb = _VERBS.get(word)
@@ -902,13 +895,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_insert_separator(argv))
-    code = EXIT_OK
+    code = 0
     try:
         doc = _VERBS[args.command].run(args)
     except _USER_ERRORS as err:
-        err = _as_lri_error(err)
         doc = _error_doc(args.command, {}, err)
-        code = _exit_code_for(err)
+        code = next((c for t, c in _EXIT_CODES if isinstance(err, t)), 2)
     if doc is not None:
         _emit(doc, args.pretty, sys.stdout, sys.stderr)
     return code

@@ -319,15 +319,9 @@ class Signature:
     in first-seen order, and they never change afterwards.
     """
 
-    def __init__(
-        self,
-        predicates: Iterable[tuple[str, int]] = (),
-        constants: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, constants: Iterable[str] = ()) -> None:
         self._arities: dict[str, int] = {}
         self._constants: dict[str, None] = {}
-        for name, arity in predicates:
-            self.declare_predicate(name, arity)
         for name in constants:
             self.declare_constant(name)
         self._nodes: dict[tuple[str, tuple[str, ...]], Atom] = {}

@@ -34,7 +34,6 @@ share the tautologies, which would make those notions vacuous.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from contextlib import contextmanager
 from functools import reduce
@@ -407,9 +406,10 @@ def discretize(v: Variety) -> Variety:
     every observation point (upper levels, compatibility, depth checks),
     those verdicts are unchanged.  It holds the same domain and selections.
     """
-    discrete = copy.copy(v)
-    discrete.labels = tuple(range(len(v)))
-    return discrete
+    return Variety.__new__(Variety)._hold(
+        v._domain, v._selections, v._renamed, v.maps, tuple(range(len(v))),
+        v._components,
+    )
 
 
 class DepthCheckResult(Record):
@@ -443,10 +443,11 @@ def check_variety_depth(
 
     A subset that shares no probed theorem has nothing to check, whatever
     its axiom intersection (the domain's axioms plus the intersection of
-    its selections).  Each probe formula is asked of every component and
-    then of every k-subset sharing it before the next formula is asked, so
-    the domain searches once per distinct part of a selection in the
-    formula's islands.
+    its selections).  Each probe formula is asked of every component, and
+    then the walk visits, in index order, only the k-subsets of the
+    components that hold it, before the next formula is asked; the domain
+    searches once per distinct part of a selection in the formula's
+    islands.
     """
     n = len(v)
     if not 1 <= k <= n:
@@ -455,15 +456,13 @@ def check_variety_depth(
     failure: Optional[tuple[tuple[int, ...], Formula]] = None
     with v._asking(max_decisions) as domain:
         for phi in ProbeUniverse(probe).formulas:
-            holding = {
+            holding = [
                 i for i, s in enumerate(selections)
                 if domain.selection_entails(s, phi)
-            }
-            for combo in itertools.combinations(range(n), k):
+            ]
+            for combo in itertools.combinations(holding, k):
                 if failure is not None and combo >= failure[0]:
                     break
-                if not holding.issuperset(combo):
-                    continue
                 common = frozenset.intersection(
                     *(selections[i] for i in combo)
                 )

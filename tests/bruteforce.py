@@ -8,7 +8,9 @@ reference lexer that matches one token at a time is what the package's
 one-scan lexer is checked against, and a recursive-descent parser with one
 method per precedence level over its tokens is what the package's parser is
 checked against, and a search that keeps its state in closures over a
-`deque` is what the package's `sat._search` is checked against.
+`deque` is what the package's `sat._search` is checked against.  A depth
+check that walks every k-subset of components is what the package's
+`check_variety_depth` walk is checked against.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import random
 import re
 from collections import deque
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
-from lri import Formula, FormulaSyntaxError, ResourceLimit, atoms_of
+from lri import DepthCheckResult, Formula, FormulaSyntaxError, ProbeUniverse
+from lri import ResourceLimit, atoms_of
 
 ATOM_NAMES = "abcdefghijkl"
 
@@ -491,6 +494,45 @@ def reference_search(problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
             ):
                 raise RuntimeError("internal error: model fails verification")
     return satisfiable, decisions, value
+
+
+# ---------------------------------------------------------------------------
+# Reference depth check
+# ---------------------------------------------------------------------------
+
+
+def reference_depth(
+    v: Variety, k: int, probe: Iterable[Formula]
+) -> DepthCheckResult:
+    """The depth check `check_variety_depth` must repeat, walking every
+    k-subset of the components in index order.
+
+    A subset is checked only when every component in it holds the formula,
+    and a formula's walk stops at the first failing subset or at the
+    earliest failure found so far.  Entailment is asked of the variety's
+    own domain, so this checks the walk, not the answers: varieties too big
+    for truth tables can be compared with it.
+    """
+    selections = v._selections
+    domain = v._domain
+    failure: Optional[tuple[tuple[int, ...], Formula]] = None
+    for phi in ProbeUniverse(probe).formulas:
+        holding = {
+            i for i, s in enumerate(selections)
+            if domain.selection_entails(s, phi)
+        }
+        for combo in combinations(range(len(v)), k):
+            if failure is not None and combo >= failure[0]:
+                break
+            if not holding.issuperset(combo):
+                continue
+            common = frozenset.intersection(*(selections[i] for i in combo))
+            if not domain.selection_entails(common, phi):
+                failure = (combo, phi)
+                break
+    if failure is None:
+        return DepthCheckResult(True)
+    return DepthCheckResult(False, *failure)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import lri.sat
 from lri import DomainOfRules, Signature, maximal_consistent_contexts
-from lri import parse_formula
+from lri import parse_formula, print_formula
 from lri.cnf import CnfBuilder
 
 # Tests that start `python -m lri` need the checkout's package in the child
@@ -36,6 +37,11 @@ def context_pairs(domain, queries):
     ]
 
 
+def texts(formulas):
+    """The printed form of each formula, in order."""
+    return [print_formula(f) for f in formulas]
+
+
 def solver_problem(formulas, signature):
     """A fresh builder's `sat.Problem` asserting every formula."""
     builder = CnfBuilder(signature)
@@ -46,3 +52,22 @@ def solver_problem(formulas, signature):
 def permit_domain():
     """The environmental-permit rule base used across the suite."""
     return build_domain(["act"], ["act -> perm", "ex", "ex -> -perm"])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Each `sat.Problem` passed to `lri.sat.solve`, in call order.
+
+    The real solver still answers.  A problem's `clauses` read its store as
+    it is when they are read, so a test reads them before a later
+    conclusion rolls the store back.
+    """
+    recorded = []
+    real_solve = lri.sat.solve
+
+    def recording_solve(problem, max_decisions=None):
+        recorded.append(problem)
+        return real_solve(problem, max_decisions)
+
+    monkeypatch.setattr(lri.sat, "solve", recording_solve)
+    return recorded

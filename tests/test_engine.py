@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-import lri.sat
 from lri import (
     And,
     Atom,
@@ -37,11 +36,7 @@ from lri import (
 from lri.formula import walk
 
 from bruteforce import DomainOracle, random_domain, random_formula
-from conftest import build_domain
-
-
-def _texts(domain, formulas):
-    return [print_formula(f) for f in formulas]
+from conftest import build_domain, texts
 
 
 def _index_sets(positions):
@@ -77,7 +72,7 @@ def test_duplicate_axioms_collapse():
     domain = build_domain(["p", "p"], ["q"])
     assert len(domain.axioms) == 1
     domain = build_domain(["p", "q", "p"], ["r"])
-    assert _texts(domain, domain.axioms) == ["p", "q"]
+    assert texts(domain.axioms) == ["p", "q"]
 
 
 def test_non_ground_rules_rejected():
@@ -212,7 +207,7 @@ def test_position_validates_consistency(permit_domain):
 
 def test_position_formulas_include_axioms(permit_domain):
     position = Position(permit_domain, frozenset({2, 0}))
-    assert _texts(permit_domain, position.formulas) == [
+    assert texts(position.formulas) == [
         "act",
         "(act -> perm)",
         "(ex -> -perm)",
@@ -304,9 +299,7 @@ def test_a_long_lived_store_holds_the_rules_and_one_question(permit_domain):
         assert listed == sum(map(len, store.clauses))
 
 
-def test_entailment_searches_once_per_part_of_the_latest_conclusion(
-    monkeypatch,
-):
+def test_entailment_searches_once_per_part_of_the_latest_conclusion(solves):
     """Refutations are kept for the latest conclusion, by touched part.
 
     Two islands, {p, p -> q} and {r | s, -r, -s}: a conclusion over q
@@ -317,14 +310,7 @@ def test_entailment_searches_once_per_part_of_the_latest_conclusion(
     """
     domain = build_domain(["r | s"], ["p", "p -> q", "-r", "-s"])
     maximal_positions(domain)
-    solves = []
-    real_solve = lri.sat.solve
-
-    def counting_solve(problem, max_decisions=None):
-        solves.append(problem)
-        return real_solve(problem, max_decisions)
-
-    monkeypatch.setattr(lri.sat, "solve", counting_solve)
+    solves.clear()
     q = Atom("q")
     selections = [
         frozenset(s)

@@ -117,18 +117,10 @@ def test_budget_is_summed_over_islands():
         new_domain(hypotheses, [], max_decisions=1)
 
 
-def test_islands_without_axioms_need_no_search_at_construction(monkeypatch):
-    calls: list[int] = []
-    real_solve = lri.engine.sat.solve
-
-    def counting_solve(problem, max_decisions=None):
-        calls.append(len(problem.clauses))
-        return real_solve(problem, max_decisions)
-
-    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
+def test_islands_without_axioms_need_no_search_at_construction(solves):
     p, q, r, s = (Atom(name) for name in "pqrs")
     domain = new_domain((), [p, q, Or(r, s)])
-    assert calls == []
+    assert solves == []
     assert [sorted(m.chosen) for m in maximal_positions(domain)] == [[0, 1, 2]]
 
 
@@ -139,22 +131,14 @@ def test_generated_multi_island_base_hits_small_budget():
     assert maximal_positions(new_domain(axioms, hypotheses, max_decisions=1000))
 
 
-def test_query_definitions_do_not_pile_up(permit_domain, monkeypatch):
-    sizes: list[int] = []
-    real_solve = lri.engine.sat.solve
-
-    def counting_solve(problem, max_decisions=None):
-        sizes.append(len(problem.clauses))
-        return real_solve(problem, max_decisions)
-
-    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
+def test_query_definitions_do_not_pile_up(permit_domain, solves):
     probe = Atom("perm")
 
     def check_size() -> int:
-        sizes.clear()
+        solves.clear()
         permit_domain.selection_entails(frozenset({0}), probe)
-        assert len(sizes) == 1
-        return sizes[0]
+        assert len(solves) == 1
+        return len(solves[0].clauses)
 
     before = check_size()
     rng = random.Random(5)
@@ -231,7 +215,7 @@ def _variety_bases():
 
 
 def test_domain_upper_level_searches_no_more_than_reasonable_inference(
-    monkeypatch,
+    solves,
 ):
     """The upper level of a domain's variety asks once per island part.
 
@@ -241,26 +225,18 @@ def test_domain_upper_level_searches_no_more_than_reasonable_inference(
     `in_reasonable_theory` searches for the same answer.  Both domains are
     swept before counting.
     """
-    calls: list[int] = []
-    real_solve = lri.engine.sat.solve
-
-    def counting_solve(problem, max_decisions=None):
-        calls.append(1)
-        return real_solve(problem, max_decisions)
-
-    monkeypatch.setattr(lri.engine.sat, "solve", counting_solve)
     for name, axioms, hypotheses, probe in _variety_bases():
         by_positions = new_domain(axioms, hypotheses)
         v = variety_of(by_positions)
         by_inference = new_domain(axioms, hypotheses)
         maximal_positions(by_inference)
-        calls.clear()
+        solves.clear()
         level = upper_level(v, probe)
-        asked_level = len(calls)
-        calls.clear()
+        asked_level = len(solves)
+        solves.clear()
         expected = tuple(
             phi for phi in ProbeUniverse(probe)
             if in_reasonable_theory(by_inference, phi)
         )
         assert level == expected, name
-        assert asked_level <= len(calls), (name, asked_level, len(calls))
+        assert asked_level <= len(solves), (name, asked_level, len(solves))

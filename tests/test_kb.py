@@ -20,6 +20,8 @@ from lri.cnf import is_aux
 from lri.formula import walk
 from lri.kb import dump_domain, dumps, load, loads, save
 
+from conftest import texts
+
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "tests" / "data" / "golden").glob("*.lri"))
 FILES += sorted((ROOT / "samples").glob("*.lri"))
@@ -38,29 +40,25 @@ queries:
 """
 
 
-def _texts(formulas):
-    return [print_formula(f) for f in formulas]
-
-
 def test_load_permit_scenario():
     kb = loads(PERMIT_TEXT)
-    assert _texts(kb.axioms) == ["act"]
-    assert _texts(kb.hypotheses) == ["(act -> perm)", "ex", "(ex -> -perm)"]
-    assert _texts(kb.queries) == ["perm", "-perm"]
+    assert texts(kb.axioms) == ["act"]
+    assert texts(kb.hypotheses) == ["(act -> perm)", "ex", "(ex -> -perm)"]
+    assert texts(kb.queries) == ["perm", "-perm"]
     assert kb.declared_constants is None
 
 
 def test_hypothesis_indices_follow_file_order():
     kb = loads(PERMIT_TEXT)
     domain = kb.domain()
-    assert _texts(domain.hypotheses) == _texts(kb.hypotheses)
+    assert texts(domain.hypotheses) == texts(kb.hypotheses)
     ex = parse_formula("ex", kb.signature)
     assert domain.hypotheses[1] == ex
 
 
 def test_sections_may_be_omitted():
     kb = loads("axioms:\n    p.\n")
-    assert _texts(kb.axioms) == ["p"]
+    assert texts(kb.axioms) == ["p"]
     assert kb.hypotheses == ()
     assert kb.queries == ()
 
@@ -73,9 +71,9 @@ def test_empty_text_is_an_empty_base():
 
 def test_sections_in_any_order():
     kb = loads("queries:\n    q.\nhypotheses:\n    h.\naxioms:\n    a.\n")
-    assert _texts(kb.axioms) == ["a"]
-    assert _texts(kb.hypotheses) == ["h"]
-    assert _texts(kb.queries) == ["q"]
+    assert texts(kb.axioms) == ["a"]
+    assert texts(kb.hypotheses) == ["h"]
+    assert texts(kb.queries) == ["q"]
 
 
 def test_comments_and_blank_lines_ignored():
@@ -87,7 +85,7 @@ def test_comments_and_blank_lines_ignored():
         "hypotheses:\n"
     )
     kb = loads(text)
-    assert _texts(kb.axioms) == ["p"]
+    assert texts(kb.axioms) == ["p"]
 
 
 def test_text_before_first_header_rejected():
@@ -121,7 +119,7 @@ def test_constants_fix_grounding_order():
         "    likes(X).\n"
     )
     kb = loads(text)
-    assert _texts(kb.axioms) == ["likes(rita)", "likes(paul)"]
+    assert texts(kb.axioms) == ["likes(rita)", "likes(paul)"]
     assert kb.declared_constants == ("rita", "paul")
 
 
@@ -132,7 +130,7 @@ def test_two_variable_statement_grounds_as_product():
         "    r(X, Y).\n"
     )
     kb = loads(text)
-    assert _texts(kb.hypotheses) == [
+    assert texts(kb.hypotheses) == [
         "r(a, a)", "r(a, b)", "r(b, a)", "r(b, b)"
     ]
 
@@ -145,7 +143,7 @@ def test_constants_line_allows_trailing_comment():
 def test_constants_line_may_end_the_text():
     kb = loads("hypotheses:\n    p(X).\nconstants: a b")
     assert kb.declared_constants == ("a", "b")
-    assert _texts(kb.hypotheses) == ["p(a)", "p(b)"]
+    assert texts(kb.hypotheses) == ["p(a)", "p(b)"]
 
 
 def test_statement_after_constants_line_rejected():
@@ -171,7 +169,7 @@ def test_undeclared_constant_in_formula_rejected():
 
 def test_formulas_may_introduce_constants_without_declaration():
     kb = loads("axioms:\n    p(somebody).\n")
-    assert _texts(kb.axioms) == ["p(somebody)"]
+    assert texts(kb.axioms) == ["p(somebody)"]
 
 
 def test_parse_query_accepts_new_predicates():
@@ -183,7 +181,7 @@ def test_parse_query_accepts_new_predicates():
 def test_parse_query_grounds_over_declared_constants():
     kb = loads("constants: a b\naxioms:\n    p(a).\n")
     queries = kb.parse_query("p(X)")
-    assert _texts(queries) == ["p(a)", "p(b)"]
+    assert texts(queries) == ["p(a)", "p(b)"]
 
 
 def test_parse_query_rejects_new_constants_when_declared():
@@ -200,7 +198,7 @@ def test_rejected_constant_leaves_the_signature_unchanged():
         kb.ground_statements("r(a). s(zz).")
     assert kb.signature.constants == ("a",)
     assert not kb.signature.has_predicate("q")
-    assert _texts(kb.ground_statements("q(X). r(a).")) == ["q(a)", "r(a)"]
+    assert texts(kb.ground_statements("q(X). r(a).")) == ["q(a)", "r(a)"]
 
 
 def test_a_refused_statement_leaves_an_open_signature_unchanged():
@@ -220,12 +218,12 @@ def test_a_refused_statement_leaves_an_open_signature_unchanged():
     assert kb.signature.constants == ("a",)
     for name in ("r", "s", "t"):
         assert not kb.signature.has_predicate(name)
-    assert _texts(kb.parse_query("p(X)")) == ["p(a)"]
+    assert texts(kb.parse_query("p(X)")) == ["p(a)"]
     empty = loads("axioms:\n    p.\n")
     with pytest.raises(EmptyDomain):
         empty.parse_query("r(X)")
     assert not empty.signature.has_predicate("r")
-    assert _texts(empty.parse_query("r")) == ["r"]
+    assert texts(empty.parse_query("r")) == ["r"]
 
 
 _DEEP = "fresh(zz) & " + "-" * 5000 + "q"
@@ -290,10 +288,10 @@ def test_a_query_is_read_in_one_lexer_pass(monkeypatch):
     monkeypatch.setattr(lri.formula, "_tokenize", counted)
     kb = loads("constants: a b\naxioms:\n    p(a).\n")
     passes.clear()
-    assert _texts(kb.parse_query("p(X) & -q")) == ["(p(a) & -q)", "(p(b) & -q)"]
+    assert texts(kb.parse_query("p(X) & -q")) == ["(p(a) & -q)", "(p(b) & -q)"]
     assert passes == ["p(X) & -q"]
     passes.clear()
-    assert _texts(kb.ground_statements("q. p(X).")) == ["q", "p(a)", "p(b)"]
+    assert texts(kb.ground_statements("q. p(X).")) == ["q", "p(a)", "p(b)"]
     assert passes == ["q. p(X)."]
 
 

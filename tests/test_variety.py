@@ -9,7 +9,9 @@ import pytest
 import lri.variety
 from lri.cnf import CnfBuilder
 from lri import (
+    Atom,
     Calculus,
+    DepthCheckResult,
     DomainOfRules,
     IncompleteRenaming,
     ProbeUniverse,
@@ -18,6 +20,7 @@ from lri import (
     Signature,
     Variety,
     apply_renaming,
+    atoms_of,
     check_variety_depth,
     discretize,
     is_compatible,
@@ -36,8 +39,10 @@ from lri import (
     witness_variety,
 )
 
-from bruteforce import random_domain, random_variety
+from bruteforce import random_domain, random_formula, random_variety
+from bruteforce import reference_depth
 from conftest import build_domain
+from families import paired_exceptions
 
 
 def _calc(texts, sig=None):
@@ -433,6 +438,73 @@ def test_domain_varieties_have_full_depth():
         for k in range(1, len(v) + 1):
             result = check_variety_depth(v, k, probe)
             assert result, (axioms, hypotheses, result)
+
+
+def _depth_cases():
+    """(name, variety, probe, depths) of seeded varieties and random probes.
+
+    Paired exceptions are probed over their `q` atoms, which the axioms
+    leave open, so a formula such as `q0 | -q1` holds in some components
+    through one choice per island and fails the depth law in others.
+    Random domains and random varieties make up the rest.
+    """
+    rng = random.Random(41)
+    for size, depths in ((5, (1, 2, 3)), (6, (1, 2))):
+        axioms, hypotheses, *_ = paired_exceptions(size)
+        v = variety_of(new_domain(axioms, hypotheses))
+        atoms = [Atom(f"q{i}") for i in range(size)]
+        probe = [random_formula(rng, atoms, depth=2) for _ in range(12)]
+        yield f"paired {size}", v, probe, depths
+    for seed in range(24):
+        if seed % 2:
+            v = random_variety(rng, max_components=10, max_atoms=5)
+        else:
+            v = variety_of(new_domain(*random_domain(rng, max_hypotheses=8)))
+        rules = (*v._domain.axioms, *v._domain.hypotheses)
+        atoms = sorted({a for f in rules for a in atoms_of(f)}, key=str)
+        probe = [random_formula(rng, atoms, depth=2) for _ in range(6)]
+        yield f"random {seed}", v, probe, range(1, min(len(v), 4) + 1)
+
+
+def test_depth_check_walks_like_the_reference():
+    """Every verdict, failing subset and counterexample is the plain walk's."""
+    outcomes = Counter()
+    for name, v, probe, depths in _depth_cases():
+        for k in depths:
+            result = check_variety_depth(v, k, probe)
+            assert result == reference_depth(v, k, probe), (name, k)
+            outcomes[result.holds] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
+def test_depth_check_draws_only_subsets_of_the_holders(monkeypatch):
+    """Of 60 components 3 hold q, so depth 3 draws C(3, 3) = 1 subset.
+
+    Walking every 3-subset and skipping the rest would draw C(60, 3) =
+    34,220 of them.
+    """
+    sig = Signature()
+    q = parse_formula("q", sig)
+    components = [
+        Calculus([q, parse_formula(f"a{i}", sig)] if i < 3 else
+                 [parse_formula(f"a{i}", sig)], sig)
+        for i in range(60)
+    ]
+    v = Variety(components, sig)
+    drawn = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        def combinations(self, iterable, r):
+            for combo in itertools.combinations(iterable, r):
+                drawn.append(combo)
+                yield combo
+
+    monkeypatch.setattr(lri.variety, "itertools", Counting())
+    assert check_variety_depth(v, 3, [q]) == DepthCheckResult(True)
+    assert drawn == [(0, 1, 2)]
 
 
 # ---------------------------------------------------------------------------

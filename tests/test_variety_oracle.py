@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-import lri.sat
 from bruteforce import (
     ATOM_NAMES,
     DomainOracle,
@@ -157,7 +156,7 @@ def test_compatibility_respects_the_decision_budget():
     assert not is_compatible(v, range(4))
 
 
-def test_variety_questions_stay_inside_islands(monkeypatch):
+def test_variety_questions_stay_inside_islands(solves):
     """No search of a domain's variety spans a whole component.
 
     Six paired-exception islands give 64 components of 12 formulas each;
@@ -170,15 +169,9 @@ def test_variety_questions_stay_inside_islands(monkeypatch):
     assert len(v) == 64
     whole = len(clausify(v.renamed_axioms(0), sig).clauses)
 
-    sizes: list[int] = []
-    real_solve = lri.sat.solve
-
-    def recording_solve(problem, max_decisions=None):
-        sizes.append(len(problem.clauses))
-        return real_solve(problem, max_decisions)
-
-    monkeypatch.setattr(lri.sat, "solve", recording_solve)
+    solves.clear()
     assert upper_level(v, [Atom("q0")]) == (Atom("q0"),)
     assert not is_compatible(v, [0, 1])
+    sizes = [len(problem.clauses) for problem in solves]
     assert sizes
     assert max(sizes) < whole, (max(sizes), whole)
