@@ -54,7 +54,6 @@ from .engine import (
 from .errors import InconsistentAxioms, LriError, ResourceLimit
 from .formula import Formula, Signature, print_formula
 from .variety import (
-    ProbeUniverse,
     is_compatible,
     is_connected,
     is_discrete,
@@ -251,11 +250,9 @@ def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
     positions = maximal_positions(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
     if dimacs:
-        clause_set = clausify(
-            list(domain.axioms + domain.hypotheses), base.signature
-        )
+        problem = clausify(domain.axioms + domain.hypotheses, base.signature)
         with open(dimacs, "w", encoding="utf-8") as handle:
-            handle.write(to_dimacs(clause_set))
+            handle.write(to_dimacs(problem, base.signature))
     verdict = {
         "axioms_consistent": True,
         "overall_consistent": overall,
@@ -385,8 +382,8 @@ def variety_doc(
     }
     if probe:
         with open(probe, "r", encoding="utf-8") as handle:
-            universe = ProbeUniverse(base.ground_statements(handle.read()))
-        level = upper_level(v, universe, domain.max_decisions)
+            formulas = base.ground_statements(handle.read())
+        level = upper_level(v, formulas, domain.max_decisions)
         verdict["upper_level"] = [printed(f) for f in level]
     if dot:
         with open(dot, "w", encoding="utf-8") as handle:
@@ -424,8 +421,7 @@ def _render_variety(doc: dict) -> list[str]:
 def compat_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, indices) -> dict:
     v = variety_of(domain)
     try:
-        checked = v.check_indices(indices)
-        compatible = is_compatible(v, checked, domain.max_decisions)
+        compatible = is_compatible(v, indices, domain.max_decisions)
     except (IndexError, ValueError) as err:
         raise _InvalidComponents(str(err)) from None
     return _doc(

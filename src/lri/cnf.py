@@ -12,8 +12,9 @@ once and then asserts different subsets of their top literals per query.
 Each definition's clauses go into the builder's `sat.ClauseStore` once, when
 the definition is made.  A search under assumptions (`problem`) activates
 only the definitions its literals reach, its cone, and a query's own
-definitions can be rolled back once it is answered.  `clause_set` lists the
-same clauses as one immutable set, for `check --dimacs` and for tests.
+definitions can be rolled back once it is answered.  `clause_set` finds the
+same problem by a walk that no memo takes part in, for `check --dimacs` and
+for tests.
 
 Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
 identifier character in the formula grammar, so no parsed input can collide
@@ -24,33 +25,16 @@ Literals are signed integers: registry index + 1, negative for negation.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Record, Signature
+from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Signature
 from .sat import ClauseStore, Problem
 
 AUX_PREFIX = "$"
 
-Clause = frozenset[int]
-
 
 def is_aux(atom: Atom) -> bool:
     return atom.predicate.startswith(AUX_PREFIX)
-
-
-class ClauseSet(Record):
-    """An immutable clause collection with its literal decoding table.
-
-    `atoms` maps every variable number occurring in the clauses (signed
-    literal magnitudes) back to its atom, defining atoms included.
-    Equality and hashing look at the clauses alone.
-    """
-
-    clauses: tuple[Clause, ...]
-    atoms: Mapping[int, Atom]
-
-    def _compared(self) -> tuple:
-        return (self.clauses,)
 
 
 class CnfBuilder:
@@ -183,27 +167,21 @@ class CnfBuilder:
             active.update(cone)
         return Problem(self.store, tuple(asserted), active)
 
-    def clause_set(self, asserted: Iterable[int] = ()) -> ClauseSet:
-        """Unit assertions plus the definitions their literals reach.
+    def clause_set(self, asserted: Iterable[int]) -> Problem:
+        """The `problem` over the literals, found by a fresh walk.
 
-        The clauses are those a `problem` over the same literals activates,
-        found here by a fresh walk that no memo takes part in.  Tautologous
-        clauses were dropped when stored, duplicates collapse, and the rest
-        is sorted (by size, then literal tuple) so equal inputs give
-        identical clause sets.
+        Its clauses are those `problem` activates for the same literals,
+        found here by a walk that no memo takes part in.  Like any problem
+        it reads the live store, so its clauses must be read before a
+        `rollback`.
         """
         asserted = tuple(asserted)
         active = set().union(*(self._reach(abs(lit)) for lit in asserted))
-        clauses = Problem(self.store, asserted, active).clauses
-        reached = {abs(lit) for clause in clauses for lit in clause}
-        return ClauseSet(
-            clauses=clauses,
-            atoms={var: self._sig.atom_at(var - 1) for var in reached},
-        )
+        return Problem(self.store, asserted, active)
 
 
-def clausify(formulas: Sequence[Formula], signature: Signature) -> ClauseSet:
-    """Clause set asserting every formula in the sequence.
+def clausify(formulas: Sequence[Formula], signature: Signature) -> Problem:
+    """The problem asserting every formula in the sequence.
 
     A fresh builder translates the formulas, so no definition carries over
     from one call to the next; atoms are numbered by `signature`'s registry.
@@ -212,14 +190,16 @@ def clausify(formulas: Sequence[Formula], signature: Signature) -> ClauseSet:
     return builder.clause_set([builder.add(f) for f in formulas])
 
 
-def to_dimacs(clause_set: ClauseSet) -> str:
-    """DIMACS-style listing with a comment table decoding the variables."""
-    lines = []
-    for var in sorted(clause_set.atoms):
-        atom = clause_set.atoms[var]
-        lines.append(f"c {var} = {atom}")
-    num_vars = max(clause_set.atoms, default=0)
-    lines.append(f"p cnf {num_vars} {len(clause_set.clauses)}")
-    for clause in clause_set.clauses:
+def to_dimacs(problem: Problem, signature: Signature) -> str:
+    """DIMACS-style listing with a comment table decoding the variables.
+
+    Each variable the clauses use is named by its atom in `signature`'s
+    registry, defining atoms included.
+    """
+    clauses = problem.clauses
+    used = sorted({abs(lit) for clause in clauses for lit in clause})
+    lines = [f"c {var} = {signature.atom_at(var - 1)}" for var in used]
+    lines.append(f"p cnf {max(used, default=0)} {len(clauses)}")
+    for clause in clauses:
         lines.append(" ".join(str(lit) for lit in sorted(clause)) + " 0")
     return "\n".join(lines) + "\n"

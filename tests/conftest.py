@@ -8,9 +8,14 @@ from lri import DomainOfRules, Signature, maximal_consistent_contexts
 from lri import parse_formula, print_formula
 from lri.cnf import CnfBuilder
 
+_ROOT = Path(__file__).resolve().parents[1]
+# Every rule-base file in the checkout: the golden bases, then the samples.
+RULE_FILES = sorted((_ROOT / "tests" / "data" / "golden").glob("*.lri"))
+RULE_FILES += sorted((_ROOT / "samples").glob("*.lri"))
+
 # Tests that start `python -m lri` need the checkout's package in the child
 # too; pytest's `pythonpath` setting reaches only this process.
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")])
 )

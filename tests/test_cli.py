@@ -825,7 +825,7 @@ def test_no_question_assembles_a_clause_set(
 ):
     """Every search assumes literals over the domain's clause store."""
 
-    def refuse(self, asserted=()):
+    def refuse(self, asserted):
         raise AssertionError("a question assembled a clause set")
 
     monkeypatch.setattr(cnf.CnfBuilder, "clause_set", refuse)

@@ -1,7 +1,6 @@
 """Knowledge-base files: parsing, constants, grounding, and round-trips."""
 
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -20,11 +19,7 @@ from lri.cnf import is_aux
 from lri.formula import walk
 from lri.kb import dump_domain, dumps, load, loads, save
 
-from conftest import texts
-
-ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "tests" / "data" / "golden").glob("*.lri"))
-FILES += sorted((ROOT / "samples").glob("*.lri"))
+from conftest import RULE_FILES, texts
 
 PERMIT_TEXT = """\
 # environmental permit scenario
@@ -354,7 +349,7 @@ def test_domain_passes_decision_budget():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULE_FILES, ids=lambda p: p.name)
 def test_equal_atoms_are_the_signatures_one_node(path):
     base = load(str(path))
     for formula in base.axioms + base.hypotheses + base.queries:
@@ -371,7 +366,7 @@ def _atoms_left_first(formula):
     return _atoms_left_first(formula.left) + _atoms_left_first(formula.right)
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", RULE_FILES, ids=lambda p: p.name)
 def test_rule_atoms_are_registered_in_stated_order_left_first(path):
     base = load(str(path))
     domain = base.domain()

@@ -27,7 +27,6 @@ from lri import (
     Signature,
     parse_formula,
 )
-from lri.cnf import ClauseSet
 from lri.kb import KnowledgeBase
 from lri.sat import SatResult
 from lri.variety import DepthCheckResult, PartitionEdge, PartitionGraph, PartitionNode
@@ -50,7 +49,6 @@ RECORDS = [
     (Implies, ("left", "right"), (P, Not(Q))),
     (Iff, ("left", "right"), (And(P, Q), Q)),
     (SatResult, ("satisfiable", "decisions"), (False, 2)),
-    (ClauseSet, ("clauses", "atoms"), ((frozenset({1, -2}),), {1: P, 2: Q})),
     (Position, ("domain", "chosen"), (DOMAIN, frozenset({0}))),
     (
         Justification,
@@ -86,9 +84,7 @@ def test_records_are_equal_by_class_and_fields(cls, fields, values):
     assert first == second and not first != second
     assert [getattr(first, f) for f in fields] == list(values)
     assert first != values
-    # A clause set is told apart by its clauses alone.
-    key = values[:1] if cls is ClauseSet else values
-    assert hash(first) == hash(second) == hash(key)
+    assert hash(first) == hash(second) == hash(values)
 
 
 def test_connectives_over_the_same_operands_differ():
@@ -163,14 +159,6 @@ def test_record_text_and_defaults():
 def test_construction_refuses_bad_fields(build, error):
     with pytest.raises(error):
         build()
-
-
-def test_clause_set_equality_ignores_decoding_tables():
-    clauses = (frozenset({1}), frozenset({-1, 2}))
-    first = ClauseSet(clauses, {1: P, 2: Q})
-    second = ClauseSet(clauses, {})
-    assert first == second and hash(first) == hash(second)
-    assert first != ClauseSet(clauses[:1], {1: P})
 
 
 def test_depth_check_result_is_falsy_when_it_fails():
