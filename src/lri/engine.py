@@ -62,6 +62,7 @@ from .formula import (
     Signature,
     atom_groups,
     atoms_of,
+    distinct_ground,
     print_formula,
     require_ground,
 )
@@ -94,6 +95,7 @@ class DomainOfRules:
     Axioms are deduplicated preserving order; hypotheses must be duplicate
     free and disjoint from the axioms, since a hypothesis that is also an
     axiom would make selections ambiguous.  All formulas must be ground.
+    Without a signature, the domain makes a fresh one.
     Construction verifies axiom consistency and fails with
     InconsistentAxioms otherwise.
 
@@ -114,12 +116,10 @@ class DomainOfRules:
         self,
         axioms: Iterable[Formula],
         hypotheses: Iterable[Formula],
-        signature: Signature,
+        signature: Optional[Signature] = None,
         max_decisions: Optional[int] = None,
     ) -> None:
-        self.axioms: tuple[Formula, ...] = tuple(dict.fromkeys(axioms))
-        for formula in self.axioms:
-            require_ground(formula, "axiom")
+        self.axioms = distinct_ground(axioms, "axiom")
 
         hyp_list = list(hypotheses)
         axiom_set = set(self.axioms)
@@ -138,6 +138,8 @@ class DomainOfRules:
                 )
         self.hypotheses: tuple[Formula, ...] = tuple(hyp_list)
 
+        if signature is None:
+            signature = Signature()
         self.signature = signature
         self.max_decisions = max_decisions
         rules = self.axioms + self.hypotheses
@@ -394,16 +396,7 @@ def _proved(cls, *fields):
 # ---------------------------------------------------------------------------
 
 
-def new_domain(
-    axioms: Iterable[Formula],
-    hypotheses: Iterable[Formula],
-    signature: Optional[Signature] = None,
-    max_decisions: Optional[int] = None,
-) -> DomainOfRules:
-    """Build a domain of rules, creating a fresh signature when none is given."""
-    if signature is None:
-        signature = Signature()
-    return DomainOfRules(axioms, hypotheses, signature, max_decisions)
+new_domain = DomainOfRules  # the library's name for building a domain
 
 
 def _sweep(

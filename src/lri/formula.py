@@ -258,6 +258,16 @@ def require_ground(formula: Formula, role: str) -> None:
         raise ValueError(f"{role} not ground: {print_formula(formula)}")
 
 
+def distinct_ground(
+    formulas: Iterable[Formula], role: str
+) -> tuple[Formula, ...]:
+    """The formulas without repeats, in order, each required to be ground."""
+    distinct = tuple(dict.fromkeys(formulas))
+    for formula in distinct:
+        require_ground(formula, role)
+    return distinct
+
+
 def substitute(
     formula: Formula,
     binding: Mapping[str, str],

@@ -66,9 +66,11 @@ class ClauseStore:
         self.spent = 0
 
     def add(self, clause: Iterable[int]) -> int:
-        """Store a clause and return its number."""
-        number = len(self.clauses)
+        """Store a clause and return its number; an empty one is refused."""
         literals = tuple(clause)
+        if not literals:
+            raise ValueError("an empty clause cannot be stored")
+        number = len(self.clauses)
         self.clauses.append(literals)
         for lit in literals:
             self.occurrences.setdefault(lit, []).append(number)

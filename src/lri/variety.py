@@ -2,12 +2,12 @@
 
 A calculus is a finite axiom set; its theorems are never materialized,
 membership being decided by classical entailment on demand.  A variety
-indexes several calculi as components, optionally renaming each component's
-symbols into the shared language, and the operations here ask structural
-questions about the family: whether components overlap (connectedness),
-whether they fit inside one consistent calculus together (compatibility),
-and what changes when components are kept apart by labeling
-(discretization).
+indexes several calculi over one shared language as components (a calculus
+over other names enters through `apply_renaming`), and the operations here
+ask structural questions about the family: whether components overlap
+(connectedness), whether they fit inside one consistent calculus together
+(compatibility), and what changes when components are kept apart by
+labeling (discretization).
 
 Every such question is a consistency or entailment question about the
 components' axiom sets, so a variety is held as one domain of rules and,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import DomainOfRules, maximal_positions
@@ -50,8 +50,8 @@ from .formula import (
     Signature,
     atom_groups,
     atoms_of,
+    distinct_ground,
     print_formula,
-    require_ground,
 )
 
 Label = Optional[Hashable]
@@ -70,9 +70,7 @@ class Calculus:
     """
 
     def __init__(self, axioms: Iterable[Formula], signature: Signature) -> None:
-        self.axioms = tuple(dict.fromkeys(axioms))
-        for f in self.axioms:
-            require_ground(f, "calculus axiom")
+        self.axioms = distinct_ground(axioms, "calculus axiom")
         self.signature = signature
 
     @property
@@ -105,7 +103,8 @@ class RenamingMap:
     formulas over the target names; names the map does not cover raise
     IncompleteRenaming on use.  Arity preservation is enforced where the
     renamed atoms are declared, since the target signature knows both
-    arities.
+    arities.  A calculus over the source names enters a variety over the
+    target names through `apply_renaming`.
     """
 
     def __init__(
@@ -178,10 +177,7 @@ class ProbeUniverse:
     """
 
     def __init__(self, formulas: Iterable[Formula]) -> None:
-        unique = tuple(dict.fromkeys(formulas))
-        for f in unique:
-            require_ground(f, "probe formula")
-        self.formulas = unique
+        self.formulas = distinct_ground(formulas, "probe formula")
 
     @classmethod
     def covering(
@@ -204,104 +200,72 @@ class ProbeUniverse:
 
 
 class Variety:
-    """An indexed family of calculi amalgamated into one language.
+    """An indexed family of calculi over one shared language.
 
-    Each component may carry a renaming map (None means inclusion: the
-    component's formulas are already in the shared language) and an optional
-    discretization label.  Renamed axiom tuples are computed eagerly, so an
-    incomplete renaming fails at construction time, not at first query.
+    Every component is included as it is, with an optional discretization
+    label; a calculus over other names enters through `apply_renaming`.
 
     A variety is one domain of rules plus, per component, a selection of
     its hypotheses: component i's axioms are the domain's axioms and the
     hypotheses selected by `_selections[i]`.  Built from calculi, the
-    domain is axiom-free and its hypotheses are the distinct renamed
+    domain is axiom-free and its hypotheses are the distinct component
     formulas, in first-occurrence order; `variety_of` instead holds the
-    domain it is given, with its positions' selections, and makes the
-    calculi only when `components` is first read.  Every operation below
-    reads the domain and the selections alone, so it never asks which kind
-    of variety it has: a component has `len(domain.axioms)` axioms more
-    than its selection, and two components share an axiom exactly when the
-    domain has axioms or their selections intersect.
+    domain it is given, with its positions' selections.  Either way the
+    variety keeps each component's axioms and makes the calculi from them
+    when `components` is first read.  Every operation below reads the
+    domain and the selections alone, so it never asks which kind of variety
+    it has: a component has `len(domain.axioms)` axioms more than its
+    selection, and two components share an axiom exactly when the domain
+    has axioms or their selections intersect.
     """
 
     def __init__(
         self,
         components: Sequence[Calculus],
         signature: Signature,
-        maps: Optional[Sequence[Optional[RenamingMap]]] = None,
         labels: Optional[Sequence[Label]] = None,
     ) -> None:
-        components = tuple(components)
-        if not components:
+        axioms = tuple(calculus.axioms for calculus in components)
+        if not axioms:
             raise ValueError("a variety needs at least one component")
-        n = len(components)
-        maps = tuple(maps) if maps is not None else (None,) * n
-        labels = tuple(labels) if labels is not None else (None,) * n
-        if len(maps) != n:
-            raise ValueError("one renaming map entry per component required")
-        if len(labels) != n:
+        labels = tuple(labels) if labels is not None else (None,) * len(axioms)
+        if len(labels) != len(axioms):
             raise ValueError("one label entry per component required")
-        renamed = tuple(
-            calculus.axioms if mapping is None
-            else tuple(mapping.rename_formula(f) for f in calculus.axioms)
-            for calculus, mapping in zip(components, maps)
-        )
         domain = DomainOfRules(
-            (), dict.fromkeys(f for r in renamed for f in r), signature
+            (), dict.fromkeys(f for a in axioms for f in a), signature
         )
         index = {f: i for i, f in enumerate(domain.hypotheses)}
-        selections = tuple(frozenset(index[f] for f in r) for r in renamed)
-        self._hold(domain, selections, renamed, maps, labels, components)
+        selections = tuple(frozenset(index[f] for f in a) for a in axioms)
+        self._hold(domain, selections, axioms, labels)
 
     def _hold(
         self,
         domain: DomainOfRules,
         selections: tuple[frozenset[int], ...],
-        renamed: tuple[tuple[Formula, ...], ...],
-        maps: tuple[Optional[RenamingMap], ...],
+        axioms: tuple[tuple[Formula, ...], ...],
         labels: tuple[Label, ...],
-        components: Optional[tuple[Calculus, ...]],
     ) -> "Variety":
-        """Keep the components as selections of the domain's hypotheses.
-
-        `components` may be None only when every map is an inclusion, so
-        that the renamed axioms are the calculi's own.
-        """
+        """Keep the components as selections of the domain's hypotheses."""
         self._domain = domain
         self._selections = selections
-        self._renamed = renamed
-        self._components = components
+        self._axioms = axioms
         self.signature = domain.signature
-        self.maps = maps
         self.labels = labels
         return self
 
-    @property
+    @cached_property
     def components(self) -> tuple[Calculus, ...]:
-        """The calculi, made from the renamed axioms if not given."""
-        if self._components is None:
-            self._components = tuple(
-                Calculus(axioms, self.signature) for axioms in self._renamed
-            )
-        return self._components
+        """The calculi, made from the components' axioms on first read."""
+        return tuple(
+            Calculus(axioms, self.signature) for axioms in self._axioms
+        )
 
     def __len__(self) -> int:
         return len(self._selections)
 
     def renamed_axioms(self, i: int) -> tuple[Formula, ...]:
-        """Component i's axioms, carried into the shared language."""
-        return self._renamed[i]
-
-    def check_indices(self, subset: Iterable[int]) -> tuple[int, ...]:
-        indices = tuple(subset)
-        if not indices:
-            raise ValueError("empty component subset")
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"repeated component index in {indices}")
-        for i in indices:
-            if not 0 <= i < len(self):
-                raise IndexError(f"component index out of range: {i}")
-        return indices
+        """Component i's axioms, in the shared language."""
+        return self._axioms[i]
 
     @contextmanager
     def _asking(self, max_decisions: Optional[int]) -> Iterator[DomainOfRules]:
@@ -323,19 +287,15 @@ def variety_of(domain: DomainOfRules) -> Variety:
     """The variety whose components close the domain's maximal positions.
 
     One component per maximal position, in the positions' order; component
-    axioms are the position's formulas (shared axioms included), inclusion
-    maps, no labels.  The variety holds the domain itself, with the
-    positions' selections.
+    axioms are the position's formulas (shared axioms included), no labels.
+    The variety holds the domain itself, with the positions' selections.
     """
     positions = maximal_positions(domain)
-    unset = (None,) * len(positions)
     return Variety.__new__(Variety)._hold(
         domain,
         tuple(position.chosen for position in positions),
         tuple(position.formulas for position in positions),
-        maps=unset,
-        labels=unset,
-        components=None,
+        (None,) * len(positions),
     )
 
 
@@ -393,7 +353,14 @@ def is_compatible(
     a consistent union generates a consistent classical calculus containing
     every selected component, and an inconsistent union embeds in none.
     """
-    indices = v.check_indices(subset)
+    indices = tuple(subset)
+    if not indices:
+        raise ValueError("empty component subset")
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"repeated component index in {indices}")
+    for i in indices:
+        if not 0 <= i < len(v):
+            raise IndexError(f"component index out of range: {i}")
     union = frozenset().union(*(v._selections[i] for i in indices))
     with v._asking(max_decisions) as domain:
         return domain.consistent(union)
@@ -407,8 +374,7 @@ def discretize(v: Variety) -> Variety:
     those verdicts are unchanged.  It holds the same domain and selections.
     """
     return Variety.__new__(Variety)._hold(
-        v._domain, v._selections, v._renamed, v.maps, tuple(range(len(v))),
-        v._components,
+        v._domain, v._selections, v._axioms, tuple(range(len(v)))
     )
 
 

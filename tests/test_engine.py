@@ -11,6 +11,7 @@ from lri import (
     AxiomHypothesisOverlap,
     Calculus,
     Context,
+    DomainOfRules,
     DuplicateHypothesis,
     InconsistentAxioms,
     Iff,
@@ -395,12 +396,16 @@ def test_every_position_extends_to_a_maximal_one():
 
 
 def test_positions_against_oracle():
+    """A domain built without a signature makes its own and answers alike."""
     rng = random.Random(13)
     for _ in range(40):
-        _, _, domain, oracle = _oracle_pair(rng)
-        assert _index_sets(maximal_positions(domain)) == [
-            sorted(fs) for fs in oracle.maximal_positions()
-        ]
+        axioms, hypotheses, domain, oracle = _oracle_pair(rng)
+        bare = DomainOfRules(axioms, hypotheses)
+        assert bare.signature is not domain.signature
+        for built in (domain, bare):
+            assert _index_sets(maximal_positions(built)) == [
+                sorted(fs) for fs in oracle.maximal_positions()
+            ]
 
 
 def test_inference_never_explodes():

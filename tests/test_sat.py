@@ -71,6 +71,17 @@ def test_empty_clause_set_satisfiable():
     assert result.decisions == 0
 
 
+def test_store_refuses_an_empty_clause():
+    """No search can be handed an empty clause: the store refuses it."""
+    store = sat.ClauseStore()
+    store.add((1,))
+    for empty in ((), iter(())):
+        with pytest.raises(ValueError, match="empty clause"):
+            store.add(empty)
+    assert store.clauses == [(1,)]
+    assert store.occurrences == {1: [0]}
+
+
 def test_contradictory_assumptions_are_unsatisfiable_without_decisions():
     result = sat.solve(_problem(["p", "q", "-p"]))
     assert not result.satisfiable

@@ -226,7 +226,7 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
     count(DomainOfRules, "__init__")
     count(Signature, "register_formula")
     count(CnfBuilder, "add")
-    count(lri.variety, "require_ground")
+    count(lri.variety, "distinct_ground")
     v = variety_of(permit_domain)
     d = discretize(v)
     assert calls == Counter()
@@ -235,10 +235,9 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
         assert [c.axioms for c in w.components] == [
             p.formulas for p in positions
         ]
-        assert w.maps == (None,) * 3
         assert w.signature is permit_domain.signature
     assert (v.labels, d.labels) == ((None,) * 3, (0, 1, 2))
-    assert set(calls) == {"require_ground"}
+    assert set(calls) == {"distinct_ground"}
 
 
 def test_variety_questions_spend_the_budget_they_are_given(monkeypatch):
@@ -319,6 +318,24 @@ def test_upper_level_follows_probe_order(permit_domain):
     assert [print_formula(f) for f in level] == ["perm", "-perm", "act"]
 
 
+def test_a_variety_of_calculi_holds_equal_components():
+    """Each component equals its calculus and keeps its axiom order.
+
+    A calculus over other names enters renamed into the shared language.
+    """
+    c, sig = _calc(["q", "p", "p -> q"])
+    d, _ = _calc(["r", "q"], sig)
+    m = RenamingMap({"p": "s", "q": "q"})
+    calculi = [c, d, apply_renaming(m, c)]
+    v = Variety(calculi, sig)
+    assert v.components == tuple(calculi)
+    assert [[print_formula(f) for f in k.axioms] for k in v.components] == [
+        ["q", "p", "(p -> q)"], ["r", "q"], ["q", "s", "(s -> q)"],
+    ]
+    for i, calculus in enumerate(calculi):
+        assert v.renamed_axioms(i) == calculus.axioms
+
+
 def test_variety_requires_components():
     with pytest.raises(ValueError):
         Variety([], Signature())
@@ -326,8 +343,6 @@ def test_variety_requires_components():
 
 def test_variety_validates_parallel_lengths():
     c, sig = _calc(["p"])
-    with pytest.raises(ValueError):
-        Variety([c], sig, maps=[None, None])
     with pytest.raises(ValueError):
         Variety([c], sig, labels=[0, 1])
 
