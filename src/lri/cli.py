@@ -383,7 +383,7 @@ def variety_doc(
     if probe:
         with open(probe, "r", encoding="utf-8") as handle:
             formulas = base.ground_statements(handle.read())
-        level = upper_level(v, formulas, domain.max_decisions)
+        level = upper_level(v, formulas)
         verdict["upper_level"] = [printed(f) for f in level]
     if dot:
         with open(dot, "w", encoding="utf-8") as handle:
@@ -421,7 +421,7 @@ def _render_variety(doc: dict) -> list[str]:
 def compat_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, indices) -> dict:
     v = variety_of(domain)
     try:
-        compatible = is_compatible(v, indices, domain.max_decisions)
+        compatible = is_compatible(v, indices)
     except (IndexError, ValueError) as err:
         raise _InvalidComponents(str(err)) from None
     return _doc(
@@ -443,8 +443,7 @@ def cmd_witness(args) -> dict:
     subsets = [[i for i in range(args.n) if i != out] for out in range(args.n)]
     subsets.append(list(range(args.n)))
     matrix = [
-        {"indices": s, "compatible": is_compatible(v, s, args.max_decisions)}
-        for s in subsets
+        {"indices": s, "compatible": is_compatible(v, s)} for s in subsets
     ]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:

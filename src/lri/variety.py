@@ -16,10 +16,11 @@ axioms are the domain's axioms plus the selected hypotheses.  The variety
 of a domain is that domain itself, with the selections of its maximal
 positions, so nothing is built, registered or translated a second time.  A
 variety given as a list of calculi gets an axiom-free domain whose
-hypotheses are the distinct component formulas.  Upper levels,
-compatibility and depth are asked of the domain, island by island, with its
-consistency memo, its memo of the latest conclusion's refutations, and one
-decision budget per question.
+hypotheses are the distinct component formulas, with the default decision
+budget.  Upper levels, compatibility and depth are asked of the domain,
+island by island, with its consistency memo, its memo of the latest
+conclusion's refutations, and the domain's own budget for each question:
+the budget a domain is built with is the one its variety spends.
 
 Theorem sets are infinite, so theorem-level comparisons are relativized to a
 finite probe universe of ground formulas.  Discretization labels are
@@ -35,7 +36,6 @@ share the tautologies, which would make those notions vacuous.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from functools import cached_property, reduce
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -89,11 +89,12 @@ class Calculus:
         return f"Calculus({len(self.axioms)} axioms)"
 
 
-def theorem_in(
-    c: Calculus, phi: Formula, max_decisions: Optional[int] = None
-) -> bool:
-    """Whether phi belongs to the calculus's theorem set."""
-    return bool(upper_level(Variety([c], c.signature), [phi], max_decisions))
+def theorem_in(c: Calculus, phi: Formula) -> bool:
+    """Whether phi belongs to the calculus's theorem set.
+
+    Asked of a one-component variety, so with the default decision budget.
+    """
+    return bool(upper_level(Variety([c], c.signature), [phi]))
 
 
 class RenamingMap:
@@ -120,19 +121,6 @@ class RenamingMap:
         ):
             if len(set(table.values())) != len(table):
                 raise ValueError(f"{kind} renaming is not injective: {table}")
-
-    @classmethod
-    def identity(cls, signature: Signature) -> "RenamingMap":
-        return cls(
-            {name: name for name, _ in signature.predicates},
-            {name: name for name in signature.constants},
-        )
-
-    def inverse(self) -> "RenamingMap":
-        return RenamingMap(
-            {new: old for old, new in self.predicates.items()},
-            {new: old for old, new in self.constants.items()},
-        )
 
     def rename_atom(self, atom: Atom) -> Atom:
         try:
@@ -267,21 +255,6 @@ class Variety:
         """Component i's axioms, in the shared language."""
         return self._axioms[i]
 
-    @contextmanager
-    def _asking(self, max_decisions: Optional[int]) -> Iterator[DomainOfRules]:
-        """The variety's domain, spending max_decisions on each question.
-
-        The domain may be the caller's own, so its budget is put back
-        afterwards, also when a question runs out of it.
-        """
-        domain = self._domain
-        kept = domain.max_decisions
-        domain.max_decisions = max_decisions
-        try:
-            yield domain
-        finally:
-            domain.max_decisions = kept
-
 
 def variety_of(domain: DomainOfRules) -> Variety:
     """The variety whose components close the domain's maximal positions.
@@ -299,21 +272,20 @@ def variety_of(domain: DomainOfRules) -> Variety:
     )
 
 
-def upper_level(
-    v: Variety, probe: Iterable[Formula], max_decisions: Optional[int] = None
-) -> tuple[Formula, ...]:
+def upper_level(v: Variety, probe: Iterable[Formula]) -> tuple[Formula, ...]:
     """Probe formulas that are theorems of at least one component.
 
     Labels never matter here: theorems are decided on plain formulas.  The
     result keeps the probe's order, making aggregation deterministic.  Each
     formula is asked of the components in turn, so the domain searches once
-    per distinct part of their selections in the islands it touches.
+    per distinct part of their selections in the islands it touches, within
+    the domain's own decision budget.
     """
-    with v._asking(max_decisions) as domain:
-        return tuple(
-            phi for phi in ProbeUniverse(probe).formulas
-            if any(domain.selection_entails(s, phi) for s in v._selections)
-        )
+    domain = v._domain
+    return tuple(
+        phi for phi in ProbeUniverse(probe).formulas
+        if any(domain.selection_entails(s, phi) for s in v._selections)
+    )
 
 
 def _overlaps(v: Variety) -> Iterator[bool]:
@@ -342,16 +314,13 @@ def is_connected(v: Variety) -> bool:
     return all(_overlaps(v))
 
 
-def is_compatible(
-    v: Variety,
-    subset: Iterable[int],
-    max_decisions: Optional[int] = None,
-) -> bool:
+def is_compatible(v: Variety, subset: Iterable[int]) -> bool:
     """Whether the selected components fit into one consistent calculus.
 
     Decided as consistency of the union of their (label-erased) axiom sets:
     a consistent union generates a consistent classical calculus containing
     every selected component, and an inconsistent union embeds in none.
+    The domain asks it within its own decision budget.
     """
     indices = tuple(subset)
     if not indices:
@@ -362,8 +331,7 @@ def is_compatible(
         if not 0 <= i < len(v):
             raise IndexError(f"component index out of range: {i}")
     union = frozenset().union(*(v._selections[i] for i in indices))
-    with v._asking(max_decisions) as domain:
-        return domain.consistent(union)
+    return v._domain.consistent(union)
 
 
 def discretize(v: Variety) -> Variety:
@@ -395,10 +363,7 @@ class DepthCheckResult(Record):
 
 
 def check_variety_depth(
-    v: Variety,
-    k: int,
-    probe: Iterable[Formula],
-    max_decisions: Optional[int] = None,
+    v: Variety, k: int, probe: Iterable[Formula]
 ) -> DepthCheckResult:
     """Verify that k-wise component intersections are calculus-generated.
 
@@ -413,28 +378,25 @@ def check_variety_depth(
     then the walk visits, in index order, only the k-subsets of the
     components that hold it, before the next formula is asked; the domain
     searches once per distinct part of a selection in the formula's
-    islands.
+    islands, within its own decision budget.
     """
     n = len(v)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    selections = v._selections
+    domain, selections = v._domain, v._selections
     failure: Optional[tuple[tuple[int, ...], Formula]] = None
-    with v._asking(max_decisions) as domain:
-        for phi in ProbeUniverse(probe).formulas:
-            holding = [
-                i for i, s in enumerate(selections)
-                if domain.selection_entails(s, phi)
-            ]
-            for combo in itertools.combinations(holding, k):
-                if failure is not None and combo >= failure[0]:
-                    break
-                common = frozenset.intersection(
-                    *(selections[i] for i in combo)
-                )
-                if not domain.selection_entails(common, phi):
-                    failure = (combo, phi)
-                    break
+    for phi in ProbeUniverse(probe).formulas:
+        holding = [
+            i for i, s in enumerate(selections)
+            if domain.selection_entails(s, phi)
+        ]
+        for combo in itertools.combinations(holding, k):
+            if failure is not None and combo >= failure[0]:
+                break
+            common = frozenset.intersection(*(selections[i] for i in combo))
+            if not domain.selection_entails(common, phi):
+                failure = (combo, phi)
+                break
     if failure is None:
         return DepthCheckResult(True)
     return DepthCheckResult(False, *failure)

@@ -88,6 +88,10 @@ save grounded.lri
 
 PROBE = "perm.\n-perm.\nact.\nperm & -perm.\nmay_vote(paul).\n"
 
+# The permit base's positions take no decision to find, but refuting the
+# negation of this tautology over two atoms in no rule takes two.
+SPLIT_PROBE = "perm.\n(x & y) | (x & -y) | (-x & y) | (-x & -y).\n"
+
 
 def _inputs() -> list[str]:
     files = sorted((ROOT / "tests" / "data" / "golden").glob("*.lri"))
@@ -166,6 +170,12 @@ def cases() -> list[dict]:
     add("sessions", ["repl", permit], stdin=PERMIT_SESSION)
     add("sessions", ["repl"], stdin=EMPTY_SESSION)
     add("sessions", ["repl", grounded], stdin=GROUNDED_SESSION)
+    for budget in ("1", "2"):
+        add("budget", ["variety", permit, "--probe", "split.lri",
+                       "--max-decisions", budget],
+            inputs={"split.lri": SPLIT_PROBE})
+    add("budget", ["compat", permit, "0", "1", "--max-decisions", "0"])
+    add("budget", ["witness", "6", "--max-decisions", "0"])
     return out
 
 

@@ -59,9 +59,8 @@ def permit_domain():
     return build_domain(["act"], ["act -> perm", "ex", "ex -> -perm"])
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """Each `sat.Problem` passed to `lri.sat.solve`, in call order.
+def record_solves(monkeypatch):
+    """Each `sat.Problem` passed to `lri.sat.solve` from now on, in call order.
 
     The real solver still answers.  A problem's `clauses` read its store as
     it is when they are read, so a test reads them before a later
@@ -76,3 +75,9 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(lri.sat, "solve", recording_solve)
     return recorded
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The problems `lri.sat.solve` is asked in the test (`record_solves`)."""
+    return record_solves(monkeypatch)

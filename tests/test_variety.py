@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import lri.sat
 import lri.variety
 from lri.cnf import CnfBuilder
 from lri import (
@@ -94,13 +95,6 @@ def test_theorem_membership_refuses_open_formulas():
 # renaming
 
 
-def test_identity_renaming_fixes_formulas():
-    sig = Signature()
-    f = parse_formula("likes(alice, bob) -> happy(alice)", sig)
-    ident = RenamingMap.identity(sig)
-    assert ident.rename_formula(f) == f
-
-
 def test_renaming_maps_atoms_pointwise():
     sig = Signature()
     f = parse_formula("likes(alice) & -happy(bob)", sig)
@@ -123,16 +117,6 @@ def test_renaming_must_cover_all_names():
     m = RenamingMap({"p": "a"})
     with pytest.raises(IncompleteRenaming):
         m.rename_formula(f)
-
-
-def test_inverse_renaming_round_trips():
-    sig = Signature()
-    f = parse_formula("likes(alice) | happy(bob)", sig)
-    m = RenamingMap(
-        {"likes": "admires", "happy": "content"},
-        {"alice": "carol", "bob": "dan"},
-    )
-    assert m.inverse().rename_formula(m.rename_formula(f)) == f
 
 
 def test_renaming_commutes_with_theorem_membership():
@@ -240,15 +224,15 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
     assert set(calls) == {"distinct_ground"}
 
 
-def test_variety_questions_spend_the_budget_they_are_given(monkeypatch):
-    """A domain's variety asks its domain with the caller's budget.
+def test_variety_questions_spend_their_domains_budget(monkeypatch):
+    """A domain's variety asks its domain with the budget it was built with.
 
-    The domain's own budget is in force nowhere inside the variety
-    functions and is back in place after each, also after ResourceLimit.
+    Building the domain takes one decision, and refuting the negation of a
+    tautology over both atoms of `a | b` takes two, so that question runs
+    out of a budget of 1 and is answered within a budget of 2.
     """
-    domain = build_domain(
-        ["a | b"], ["p", "p -> q", "-p", "c"], max_decisions=7
-    )
+    texts = (["a | b"], ["p", "p -> q", "-p", "c"])
+    domain = build_domain(*texts, max_decisions=1)
     v = variety_of(domain)
     sig = domain.signature
     probe = [parse_formula(t, sig) for t in ["q", "-p", "c", "q & c", "a"]]
@@ -261,23 +245,19 @@ def test_variety_questions_spend_the_budget_they_are_given(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(DomainOfRules, name, recording)
-    for budget in (None, 1000):
-        budgets.clear()
-        upper_level(v, probe, budget)
-        is_compatible(v, [0, 1], budget)
-        check_variety_depth(v, 2, probe, budget)
-        assert budgets and set(budgets) == {budget}
-        assert domain.max_decisions == 7
-    # refuting either conclusion against a | b takes a decision
-    both = [parse_formula(t, sig) for t in ["a & b", "b & a"]]
-    asks = [
-        lambda: upper_level(v, both[:1], 0),
-        lambda: check_variety_depth(v, 1, both[1:], 0),
-    ]
-    for ask in asks:
-        with pytest.raises(ResourceLimit, match="exceeded 0 decisions"):
-            ask()
-        assert domain.max_decisions == 7
+    upper_level(v, probe)
+    is_compatible(v, [0, 1])
+    check_variety_depth(v, 2, probe)
+    assert budgets and set(budgets) == {1}
+    split = "(a & b) | (a & -b) | (-a & b) | (-a & -b)"
+    roomy = build_domain(*texts, max_decisions=2)
+    for ask in (
+        lambda v, f: upper_level(v, [f]),
+        lambda v, f: check_variety_depth(v, 1, [f]),
+    ):
+        with pytest.raises(ResourceLimit, match="exceeded 1 decisions"):
+            ask(v, parse_formula(split, sig))
+        assert ask(variety_of(roomy), parse_formula(split, roomy.signature))
 
 
 def test_permit_variety_connected_but_not_discrete(permit_domain):
@@ -542,6 +522,27 @@ def test_witness_variety_compatibility_boundary(n):
     for subset in itertools.combinations(range(n), n - 1):
         assert is_compatible(v, subset)
     assert not is_compatible(v, range(n))
+
+
+def test_witness_compatibility_takes_no_decision(monkeypatch):
+    """Unit propagation alone decides every search of a witness question.
+
+    That is why `witness` needs no decision budget.
+    """
+    spent = []
+    real = lri.sat.solve
+
+    def recording(problem, max_decisions=None):
+        result = real(problem, max_decisions)
+        spent.append(result.decisions)
+        return result
+
+    monkeypatch.setattr(lri.sat, "solve", recording)
+    for n in range(2, 13):
+        v = witness_variety(n)
+        for out in range(n + 1):
+            is_compatible(v, [i for i in range(n) if i != out])
+    assert spent and set(spent) == {0}
 
 
 def test_witness_variety_needs_two_components():
