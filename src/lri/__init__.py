@@ -53,8 +53,6 @@ from .formula import (
 from .variety import (
     Calculus,
     DepthCheckResult,
-    PartitionEdge,
-    PartitionGraph,
     PartitionNode,
     ProbeUniverse,
     RenamingMap,
@@ -81,11 +79,10 @@ __all__ = [
     "Context", "DepthCheckResult", "DomainOfRules", "DuplicateHypothesis",
     "EmptyDomain", "Formula", "FormulaSyntaxError", "Iff", "Implies",
     "IncompleteRenaming", "InconsistentAxioms", "Justification", "LriError",
-    "MixedDomains", "Not", "Or", "PartitionEdge", "PartitionGraph",
-    "PartitionNode", "Position", "ProbeUniverse", "RenamingMap",
-    "ResourceLimit", "Signature", "UnknownSymbol", "Variety", "apply_renaming",
-    "atoms_of", "check_variety_depth", "discretize", "ground",
-    "in_reasonable_theory", "is_compatible", "is_connected",
+    "MixedDomains", "Not", "Or", "PartitionNode", "Position", "ProbeUniverse",
+    "RenamingMap", "ResourceLimit", "Signature", "UnknownSymbol", "Variety",
+    "apply_renaming", "atoms_of", "check_variety_depth", "discretize",
+    "ground", "in_reasonable_theory", "is_compatible", "is_connected",
     "is_consistent_context", "is_discrete", "is_ground", "justifications",
     "maximal_consistent_contexts", "maximal_positions", "new_domain",
     "overlap_dot", "parse_formula", "parse_statements", "partition_dot",

@@ -470,19 +470,19 @@ def _render_witness(doc: dict) -> list[str]:
 
 def cmd_partition(args) -> dict:
     base = kbmod.load(args.file)
-    graph = partition_graph(list(base.axioms) + list(base.hypotheses))
+    nodes = partition_graph(base.axioms + base.hypotheses)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(partition_dot(graph))
+            handle.write(partition_dot(nodes))
     printed = _printer()
     verdict = {
-        "partition_count": len(graph.nodes),
+        "partition_count": len(nodes),
         "partitions": [
             {
                 "formulas": [printed(f) for f in node.formulas],
                 "atoms": [str(a) for a in node.atoms],
             }
-            for node in graph.nodes
+            for node in nodes
         ],
     }
     return _doc("partition", {}, verdict)

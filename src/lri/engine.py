@@ -78,8 +78,10 @@ class _Island:
     `axiom_tops` are the axioms' top literals; `hypotheses` holds
     domain-wide hypothesis indices, ascending; `maximal` caches the island's
     maximal consistent selections once swept.  Until then `consistency`
-    memoizes the answers its searches gave, by the selection's part in the
-    island; the sweep empties it, since `maximal` answers every part.
+    memoizes the answers that point questions' searches gave, by the
+    selection's part in the island.  The sweep reads it but adds nothing,
+    since it asks no part twice, and empties it at the end, since `maximal`
+    answers every part.
     """
 
     def __init__(self, axiom_tops, hypotheses) -> None:
@@ -223,21 +225,28 @@ class DomainOfRules:
         problem = self._builder.problem(tops)
         return sat.solve(problem, self.max_decisions).satisfiable
 
-    def _island_consistent(self, number: int, part: frozenset[int]) -> bool:
-        """Whether the island's axioms and the hypotheses in part are satisfiable.
+    def _island_search(self, island: _Island, part: frozenset[int]) -> bool:
+        """Search whether the island's axioms and the hypotheses in part fit.
 
         Nothing asserted (an island without axioms, asked of no hypotheses)
         is satisfiable without a search.
         """
+        tops = list(island.axiom_tops)
+        tops += [self._hyp_tops[i] for i in sorted(part)]
+        return not tops or self._satisfiable(tops)
+
+    def _island_consistent(self, number: int, part: frozenset[int]) -> bool:
+        """Whether the island's axioms and the hypotheses in part are satisfiable.
+
+        A swept island answers from its maximal selections; before that a
+        search answers once and the memo keeps its answer.
+        """
         island = self._islands[number]
+        if island.maximal is not None:
+            return any(map(part.issubset, island.maximal))
         known = island.consistency.get(part)
         if known is None:
-            if island.maximal is not None:
-                return any(map(part.issubset, island.maximal))
-            tops = list(island.axiom_tops)
-            tops += [self._hyp_tops[i] for i in sorted(part)]
-            known = not tops or self._satisfiable(tops)
-            island.consistency[part] = known
+            known = island.consistency[part] = self._island_search(island, part)
         return known
 
     def _island_maximal(self, number: int) -> tuple[frozenset[int], ...]:
@@ -245,15 +254,19 @@ class DomainOfRules:
 
         The subset sweep tries selections largest first, so a consistent one
         is maximal unless an accepted one contains it, and then it is never
-        asked; each consistency check is its own question.  The island's
-        memo is emptied once the sweep ends.
+        asked; each consistency check is its own question.  The sweep never
+        asks a selection twice, so it reads the island's memo but adds
+        nothing to it, and empties it once the sweep ends.
         """
         island = self._islands[number]
         if island.maximal is None:
 
             def fits(selection: frozenset[int]) -> bool:
                 self._question()
-                return self._island_consistent(number, selection)
+                known = island.consistency.get(selection)
+                if known is None:
+                    return self._island_search(island, selection)
+                return known
 
             sizes = range(len(island.hypotheses), -1, -1)
             island.maximal = _sweep(island.hypotheses, sizes, fits)

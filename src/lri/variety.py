@@ -433,64 +433,31 @@ class PartitionNode(Record):
     atoms: tuple[Atom, ...]
 
 
-class PartitionEdge(Record):
-    left: int
-    right: int
-    shared: tuple[Atom, ...]
-
-
-class PartitionGraph(Record):
-    nodes: tuple[PartitionNode, ...]
-    edges: tuple[PartitionEdge, ...]
-
-
 def _atom_key(atom: Atom) -> tuple:
     return (atom.predicate, atom.args)
 
 
-def _node(index: int, formulas: Sequence[Formula]) -> PartitionNode:
-    atoms: set[Atom] = set()
-    for f in formulas:
-        atoms |= atoms_of(f)
-    return PartitionNode(
-        index, tuple(formulas), tuple(sorted(atoms, key=_atom_key))
-    )
+def partition_graph(formulas: Sequence[Formula]) -> tuple[PartitionNode, ...]:
+    """Partition formulas into groups connected through shared atoms.
 
-
-def partition_graph(
-    formulas: Sequence[Formula] = (),
-    groups: Optional[Sequence[Sequence[Formula]]] = None,
-) -> PartitionGraph:
-    """Partition formulas by atom co-occurrence, or relate given groups.
-
-    With no pre-grouping, formulas land in the same partition exactly when
-    they are connected through shared atoms; partitions become nodes and the
-    edge set is empty by construction.  With a pre-grouping, each group is a
-    node and edges link groups sharing at least one atom, labeled by the
-    shared atoms.
+    Two formulas land in the same group exactly when a chain of formulas,
+    each sharing an atom with the next, links them; repeated formulas count
+    once.  No two groups share an atom, so the groups of a domain's axioms
+    and hypotheses are its islands.  Groups come in the order of their first
+    formula, each listing its formulas in the given order and its atoms by
+    predicate, then arguments.
     """
-    if groups is not None:
-        nodes = [
-            _node(i, tuple(dict.fromkeys(group)))
-            for i, group in enumerate(groups)
-        ]
-        edges = []
-        for i, j in itertools.combinations(range(len(nodes)), 2):
-            shared = set(nodes[i].atoms) & set(nodes[j].atoms)
-            if shared:
-                edges.append(
-                    PartitionEdge(i, j, tuple(sorted(shared, key=_atom_key)))
-                )
-        return PartitionGraph(tuple(nodes), tuple(edges))
-
     ordered = tuple(dict.fromkeys(formulas))
-    nodes = [
-        _node(index, [ordered[i] for i in group])
-        for index, group in enumerate(
-            atom_groups([atoms_of(f) for f in ordered])
-        )
-    ]
-    return PartitionGraph(tuple(nodes), ())
+    atom_sets = [atoms_of(f) for f in ordered]
+    nodes = []
+    for index, group in enumerate(atom_groups(atom_sets)):
+        atoms = set().union(*(atom_sets[i] for i in group))
+        nodes.append(PartitionNode(
+            index,
+            tuple(ordered[i] for i in group),
+            tuple(sorted(atoms, key=_atom_key)),
+        ))
+    return tuple(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -502,17 +469,15 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def partition_dot(graph: PartitionGraph) -> str:
-    """Graphviz source for a partition graph, deterministically ordered."""
+def partition_dot(nodes: Sequence[PartitionNode]) -> str:
+    """Graphviz source with one node per partition, labeled by its formulas.
+
+    Partitions share no atom, so the graph has no edges.
+    """
     lines = ["graph partitions {"]
-    for node in graph.nodes:
+    for node in nodes:
         label = "\\n".join(print_formula(f) for f in node.formulas)
         lines.append(f'  n{node.index} [label="{_dot_escape(label)}"];')
-    for edge in graph.edges:
-        label = ", ".join(str(a) for a in edge.shared)
-        lines.append(
-            f'  n{edge.left} -- n{edge.right} [label="{_dot_escape(label)}"];'
-        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -5,6 +5,7 @@ apart, then shuffles the hypotheses so that islands interleave in the index
 order.  The engine answers per island; the oracle sweeps the whole domain.
 """
 
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from lri import (
     justifications,
     maximal_positions,
     new_domain,
+    partition_graph,
     print_formula,
     reasonably_infers,
     upper_level,
@@ -98,6 +100,31 @@ def test_contexts_of_queries_across_islands_match_oracle(seed):
     domain = new_domain(axioms, hypotheses)
     oracle = DomainOracle(axioms, hypotheses, extra=picked)
     assert context_pairs(domain, picked) == oracle.contexts(picked)
+
+
+def test_partitions_are_the_islands():
+    """`partition_graph` of a domain's rules gives one node per island.
+
+    Each node holds one island's axioms and hypotheses, in island order,
+    and no two nodes share an atom, so a partition graph has no edges.
+    """
+    for seed in range(100):
+        axioms, hypotheses, _, _ = _corpus(seed)
+        domain = new_domain(axioms, hypotheses)
+        nodes = partition_graph(domain.axioms + domain.hypotheses)
+        index = {h: i for i, h in enumerate(domain.hypotheses)}
+        assert [
+            (
+                sum(f not in index for f in node.formulas),
+                tuple(index[f] for f in node.formulas if f in index),
+            )
+            for node in nodes
+        ] == [
+            (len(island.axiom_tops), island.hypotheses)
+            for island in domain._islands
+        ], seed
+        for left, right in itertools.combinations(nodes, 2):
+            assert not set(left.atoms) & set(right.atoms), seed
 
 
 def test_budget_is_summed_over_islands():

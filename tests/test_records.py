@@ -29,7 +29,7 @@ from lri import (
 )
 from lri.kb import KnowledgeBase
 from lri.sat import SatResult
-from lri.variety import DepthCheckResult, PartitionEdge, PartitionGraph, PartitionNode
+from lri.variety import DepthCheckResult, PartitionNode
 
 from conftest import build_domain
 
@@ -37,8 +37,6 @@ P, Q = Atom("p", ("a",)), Atom("q")
 SIGNATURE = Signature()
 DOMAIN = build_domain(["act"], ["act -> perm", "ex", "ex -> -perm"])
 PERM = parse_formula("perm", DOMAIN.signature)
-NODE = PartitionNode(0, (P,), (P,))
-EDGE = PartitionEdge(0, 1, (P,))
 
 # (class, field names, field values); building twice gives equal records.
 RECORDS = [
@@ -66,8 +64,6 @@ RECORDS = [
         (False, (0, 1), P),
     ),
     (PartitionNode, ("index", "formulas", "atoms"), (0, (P,), (P,))),
-    (PartitionEdge, ("left", "right", "shared"), (0, 1, (P,))),
-    (PartitionGraph, ("nodes", "edges"), ((NODE,), (EDGE,))),
     (
         KnowledgeBase,
         ("signature", "axioms", "hypotheses", "queries", "declared_constants"),
@@ -139,9 +135,9 @@ def test_record_text_and_defaults():
             lambda: Justification(PERM, Position(DOMAIN, frozenset({1}))),
             ValueError,
         ),
-        (lambda: PartitionEdge(0, 1), TypeError),
-        (lambda: PartitionEdge(0, 1, (), ()), TypeError),
-        (lambda: PartitionEdge(0, 1, (), left=0), TypeError),
+        (lambda: PartitionNode(0, ()), TypeError),
+        (lambda: PartitionNode(0, (), (), ()), TypeError),
+        (lambda: PartitionNode(0, (), (), index=0), TypeError),
         (lambda: DepthCheckResult(True, colour=1), TypeError),
         (lambda: Atom("p", (), 3), TypeError),
     ],

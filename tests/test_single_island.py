@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import lri.engine
 import lri.sat
 from bruteforce import DomainOracle, random_domain, random_formula
 from families import exclusions
@@ -87,6 +88,29 @@ def test_a_swept_island_keeps_only_its_maximal_selections(monkeypatch):
         assert domain.consistent(chosen) is oracle.consistent(mask), chosen
     assert solves == []
     assert island.consistency == {}
+
+
+def test_the_sweep_adds_nothing_to_the_memo(monkeypatch):
+    """The sweep asks no selection twice, so it stores none of its answers.
+
+    At every search of the n = 12 path's sweep the memo holds at most what
+    construction asked (the empty selection).
+    """
+    axioms, hypotheses, positions, *_ = exclusions(12)
+    domain = new_domain(axioms, hypotheses)
+    (island,) = domain._islands
+    sizes = []
+    search = lri.engine.DomainOfRules._satisfiable
+
+    def recording(self, tops):
+        sizes.append(len(island.consistency))
+        return search(self, tops)
+
+    monkeypatch.setattr(lri.engine.DomainOfRules, "_satisfiable", recording)
+    found = [sorted(p.chosen) for p in maximal_positions(domain)]
+    assert found == positions
+    assert len(sizes) == 3747
+    assert max(sizes) <= 1
 
 
 @pytest.mark.parametrize("seed", range(12))

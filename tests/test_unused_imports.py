@@ -8,6 +8,8 @@ by their root), in `__all__`, or inside a string annotation.  Imports from
 import ast
 from pathlib import Path
 
+import lri
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -67,3 +69,18 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_the_public_names_are_the_package_imports():
+    """`lri.__all__` is sorted, repeats nothing and resolves on `lri`.
+
+    It lists exactly the names `src/lri/__init__.py` imports, so a name the
+    package no longer has cannot linger in it.
+    """
+    path = ROOT / "src" / "lri" / "__init__.py"
+    names = lri.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(lri, n)] == []
+    imported = _imported(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert set(names) == set(imported)

@@ -557,10 +557,9 @@ def test_witness_variety_needs_two_components():
 def test_partition_by_shared_atoms():
     sig = Signature()
     texts = ["p -> q", "q -> r", "s -> t"]
-    graph = partition_graph([parse_formula(t, sig) for t in texts])
-    assert len(graph.nodes) == 2
-    assert graph.edges == ()
-    first, second = graph.nodes
+    nodes = partition_graph([parse_formula(t, sig) for t in texts])
+    assert len(nodes) == 2
+    first, second = nodes
     assert [print_formula(f) for f in first.formulas] == [
         "(p -> q)",
         "(q -> r)",
@@ -571,38 +570,19 @@ def test_partition_by_shared_atoms():
 
 def test_partition_singleton_for_isolated_formula():
     sig = Signature()
-    graph = partition_graph([parse_formula("p", sig)])
-    assert len(graph.nodes) == 1
-    assert graph.nodes[0].index == 0
-
-
-def test_pregrouped_partition_links_overlaps():
-    sig = Signature()
-    groups = [
-        [parse_formula("p -> q", sig)],
-        [parse_formula("q -> r", sig)],
-        [parse_formula("s", sig)],
-    ]
-    graph = partition_graph(groups=groups)
-    assert len(graph.nodes) == 3
-    assert len(graph.edges) == 1
-    edge = graph.edges[0]
-    assert (edge.left, edge.right) == (0, 1)
-    assert [a.predicate for a in edge.shared] == ["q"]
+    nodes = partition_graph([parse_formula("p", sig)])
+    assert len(nodes) == 1
+    assert nodes[0].index == 0
 
 
 def test_partition_dot_snapshot():
     sig = Signature()
-    groups = [
-        [parse_formula("p -> q", sig)],
-        [parse_formula("q", sig)],
-    ]
-    graph = partition_graph(groups=groups)
-    assert partition_dot(graph) == (
+    texts = ["p -> q", "s", "q", "p -> q"]
+    nodes = partition_graph([parse_formula(t, sig) for t in texts])
+    assert partition_dot(nodes) == (
         "graph partitions {\n"
-        '  n0 [label="(p -> q)"];\n'
-        '  n1 [label="q"];\n'
-        '  n0 -- n1 [label="q"];\n'
+        '  n0 [label="(p -> q)\\\\nq"];\n'
+        '  n1 [label="s"];\n'
         "}\n"
     )
 
