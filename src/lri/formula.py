@@ -268,6 +268,21 @@ def distinct_ground(
     return distinct
 
 
+def map_atoms(formula: Formula, atom: Callable[[Atom], Formula]) -> Formula:
+    """The formula with every atom `a` replaced by `atom(a)`.
+
+    Every connective is kept, and every node above an atom is built anew,
+    ground or not.  Grounding and renaming are both this rebuild.
+    """
+    if isinstance(formula, Atom):
+        return atom(formula)
+    if isinstance(formula, Not):
+        return Not(map_atoms(formula.operand, atom))
+    return type(formula)(
+        map_atoms(formula.left, atom), map_atoms(formula.right, atom)
+    )
+
+
 def substitute(
     formula: Formula,
     binding: Mapping[str, str],
@@ -275,23 +290,16 @@ def substitute(
 ) -> Formula:
     """Replace variables by the names bound to them, leaving the rest alone.
 
-    Ground subformulas are returned as they are.  `atom` makes each
-    substituted atom; grounding passes `Signature.atom`, so that equal
-    instances of an atom are one node.
+    A ground formula is returned as it is.  In any other formula every atom
+    is rebuilt through `map_atoms`, so its ground subformulas come back as
+    equal new nodes, not as the same objects.  `atom` makes each atom;
+    grounding passes `Signature.atom`, so that equal instances of an atom
+    are one node.
     """
     if formula._ground:
         return formula
-    if isinstance(formula, Atom):
-        return atom(
-            formula.predicate,
-            tuple([binding.get(a, a) for a in formula.args]),
-        )
-    if isinstance(formula, Not):
-        return Not(substitute(formula.operand, binding, atom))
-    return type(formula)(
-        substitute(formula.left, binding, atom),
-        substitute(formula.right, binding, atom),
-    )
+    return map_atoms(formula, lambda a: atom(
+        a.predicate, tuple([binding.get(x, x) for x in a.args])))
 
 
 def print_formula(formula: Formula) -> str:

@@ -51,6 +51,7 @@ from .formula import (
     atom_groups,
     atoms_of,
     distinct_ground,
+    map_atoms,
     print_formula,
 )
 
@@ -134,14 +135,7 @@ class RenamingMap:
         return Atom(predicate, args)
 
     def rename_formula(self, formula: Formula) -> Formula:
-        if isinstance(formula, Atom):
-            return self.rename_atom(formula)
-        if isinstance(formula, Not):
-            return Not(self.rename_formula(formula.operand))
-        return type(formula)(
-            self.rename_formula(formula.left),
-            self.rename_formula(formula.right),
-        )
+        return map_atoms(formula, self.rename_atom)
 
 
 def apply_renaming(m: RenamingMap, c: Calculus) -> Calculus:
@@ -472,12 +466,14 @@ def _dot_escape(text: str) -> str:
 def partition_dot(nodes: Sequence[PartitionNode]) -> str:
     """Graphviz source with one node per partition, labeled by its formulas.
 
+    A label lists its partition's formulas one per line: each formula is
+    escaped for a DOT string on its own, and DOT's `\\n` joins them.
     Partitions share no atom, so the graph has no edges.
     """
     lines = ["graph partitions {"]
     for node in nodes:
-        label = "\\n".join(print_formula(f) for f in node.formulas)
-        lines.append(f'  n{node.index} [label="{_dot_escape(label)}"];')
+        label = "\\n".join(_dot_escape(print_formula(f)) for f in node.formulas)
+        lines.append(f'  n{node.index} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

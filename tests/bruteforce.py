@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
 from lri import DepthCheckResult, Formula, FormulaSyntaxError, ProbeUniverse
 from lri import ResourceLimit, atoms_of
+from lri.formula import map_atoms
 
 ATOM_NAMES = "abcdefghijkl"
 
@@ -638,13 +639,7 @@ def random_variety(
 
 def rename_apart(formula: Formula, tag: int) -> Formula:
     """The formula with `tag` appended to every predicate name."""
-    if isinstance(formula, Atom):
-        return Atom(f"{formula.predicate}{tag}")
-    if isinstance(formula, Not):
-        return Not(rename_apart(formula.operand, tag))
-    return type(formula)(
-        rename_apart(formula.left, tag), rename_apart(formula.right, tag)
-    )
+    return map_atoms(formula, lambda a: Atom(f"{a.predicate}{tag}"))
 
 
 def glued_corpus(seed: int):

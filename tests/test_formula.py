@@ -26,7 +26,9 @@ from lri import (
     parse_statements,
     print_formula,
 )
-from lri.formula import _tokenize, substitute, variables_of, walk
+from lri.formula import (
+    _tokenize, map_atoms, substitute, variables_of, walk,
+)
 
 from bruteforce import (
     make_atoms,
@@ -386,6 +388,23 @@ def test_substitute_and_groundness():
     instance = substitute(schema, {"X": "a"})
     assert is_ground(instance)
     assert print_formula(instance) == "(holds(a) & p)"
+
+
+def test_map_atoms_rebuilds_every_connective():
+    rng = random.Random(9)
+    atoms = _schema_atoms()
+    renaming = {"p": "q", "r": "t", "s": "u"}
+    inverse = {new: old for old, new in renaming.items()}
+
+    def renamed(table):
+        return lambda atom: Atom(table[atom.predicate], atom.args)
+
+    for _ in range(200):
+        f = random_formula(rng, atoms, depth=4)
+        assert map_atoms(f, lambda atom: atom) == f
+        there = map_atoms(f, renamed(renaming))
+        assert {atom.predicate for atom in atoms_of(there)} <= set(inverse)
+        assert map_atoms(there, renamed(inverse)) == f
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from lri import (
     Calculus,
     DepthCheckResult,
     DomainOfRules,
+    Implies,
     IncompleteRenaming,
     ProbeUniverse,
     RenamingMap,
@@ -581,8 +582,15 @@ def test_partition_dot_snapshot():
     nodes = partition_graph([parse_formula(t, sig) for t in texts])
     assert partition_dot(nodes) == (
         "graph partitions {\n"
-        '  n0 [label="(p -> q)\\\\nq"];\n'
+        '  n0 [label="(p -> q)\\nq"];\n'
         '  n1 [label="s"];\n'
+        "}\n"
+    )
+    quoted, slashed = Atom('say"'), Atom("back\\slash")
+    nodes = partition_graph([Implies(quoted, slashed), slashed])
+    assert partition_dot(nodes) == (
+        "graph partitions {\n"
+        '  n0 [label="(say\\" -> back\\\\slash)\\nback\\\\slash"];\n'
         "}\n"
     )
 
