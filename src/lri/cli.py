@@ -22,8 +22,9 @@ negative `--max-decisions` among them).
 
 The interactive session (`repl`) reads one command per line.  An edit
 replaces the rule base and echoes the recomputed hypothesis indices, the
-queries between edits share one domain, and each query produces exactly
-the document its batch counterpart would; user errors never end it.
+queries between edits share one domain, and each query is numbered and
+searched as on a fresh load, so it produces exactly the document its batch
+counterpart would, under a decision budget too; user errors never end it.
 
 The argument parser is built on the first `main` call, not at import, and
 shared by every later `main` call in the process.  Parsing leaves it
@@ -250,9 +251,9 @@ def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
     positions = maximal_positions(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
     if dimacs:
-        problem = clausify(domain.axioms + domain.hypotheses, base.signature)
+        problem = clausify(domain.axioms + domain.hypotheses)
         with open(dimacs, "w", encoding="utf-8") as handle:
-            handle.write(to_dimacs(problem, base.signature))
+            handle.write(to_dimacs(problem))
     verdict = {
         "axioms_consistent": True,
         "overall_consistent": overall,

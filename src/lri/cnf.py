@@ -1,44 +1,37 @@
 """Clause-form translation for the satisfiability engine.
 
-Ground formulas become clauses by introducing one defining atom per
+Ground formulas become clauses by introducing one defining variable per
 non-literal subformula, so the translation grows linearly with formula size
 and the result is equisatisfiable with (and, over the source atoms,
 model-equivalent to) the input set.  Negations fold onto the literal of the
 negated subformula instead of spending a definition.
 
-Structurally equal subformulas share their defining atom within one builder,
-which is what makes incremental use cheap: a domain of rules adds every rule
-once and then asserts different subsets of their top literals per query.
-Each definition's clauses go into the builder's `sat.ClauseStore` once, when
-the definition is made.  A search under assumptions (`problem`) activates
-only the definitions its literals reach, its cone, and a query's own
-definitions can be rolled back once it is answered.  `clause_set` finds the
-same problem by a walk that no memo takes part in, for `check --dimacs` and
-for tests.
+Structurally equal subformulas share their defining variable within one
+builder, which is what makes incremental use cheap: a domain of rules adds
+every rule once and then asserts different subsets of their top literals per
+query.  Each definition's clauses go into the builder's `sat.ClauseStore`
+once, when the definition is made.  A search under assumptions (`problem`)
+activates only the definitions its literals reach, its cone, and a query's
+own definitions can be rolled back once it is answered.  `clause_set` finds
+the same problem by a walk that no memo takes part in, for `check --dimacs`
+and for tests.
 
-Defining atoms live in a reserved namespace (`$0`, `$1`, ...).  `$` is not an
-identifier character in the formula grammar, so no parsed input can collide
-with them.
-
-Literals are signed integers: registry index + 1, negative for negation.
+The builder is the one place variables are numbered.  An atom is numbered
+when it is first translated and a definition when it is made, counting from
+1, and the store's `names` decode them: the atom, or `$n` for the n-th
+definition.  Literals are signed variable numbers, negative for negation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .formula import And, Atom, Formula, Iff, Implies, Not, Or, Signature
+from .formula import And, Atom, Formula, Iff, Implies, Not, Or, walk
 from .sat import ClauseStore, Problem
-
-AUX_PREFIX = "$"
-
-
-def is_aux(atom: Atom) -> bool:
-    return atom.predicate.startswith(AUX_PREFIX)
 
 
 class CnfBuilder:
-    """Incremental clausifier over one signature.
+    """Incremental clausifier that numbers its own variables.
 
     `add` translates a formula and returns its top literal without asserting
     it; callers choose which top literals to assume in a search.
@@ -47,43 +40,52 @@ class CnfBuilder:
     each translated formula's literal, and each defining variable's
     definition, as the numbers of its clauses in `store` and the variables
     of its operands, so a search can take just the definitions it depends
-    on.  Variables are the signature's registry indices plus one, so the
-    registry decodes them.  A variable's cone, the clauses of every
-    definition it reaches, is computed the first time a search assumes it.
+    on.  Each new variable takes the next number and appends its name to
+    `store.names`, so the order of translation is the order of the
+    variables, and with it the solver's branching order.  A variable's
+    cone, the clauses of every definition it reaches, is computed the first
+    time a search assumes it.
     """
 
-    def __init__(self, signature: Signature) -> None:
-        self._sig = signature
+    def __init__(self) -> None:
         self.store = ClauseStore()
         self._literal: dict[Formula, int] = {}
         self._defs: dict[int, tuple[range, tuple[int, int]]] = {}
         self._cones: dict[int, tuple[int, ...]] = {}
 
-    def _var(self, atom: Atom) -> int:
-        return self._sig.index_of(atom) + 1
+    def _number(self, name: object) -> int:
+        self.store.names.append(name)
+        return len(self.store.names)
 
-    def _fresh_aux(self) -> int:
-        return self._var(Atom(f"{AUX_PREFIX}{len(self._defs)}"))
+    def mark(self) -> tuple[int, int, int, int]:
+        """The builder's current extent, for `rollback` to return to.
 
-    def mark(self) -> tuple[int, int, int]:
-        """The builder's current extent, for `rollback` to return to."""
-        return len(self._literal), len(self._defs), len(self.store.clauses)
+        It counts the translations, the definitions, the stored clauses and
+        the numbered variables.
+        """
+        store = self.store
+        return (
+            len(self._literal), len(self._defs),
+            len(store.clauses), len(store.names),
+        )
 
-    def rollback(self, mark: tuple[int, int, int]) -> None:
+    def rollback(self, mark: tuple[int, int, int, int]) -> None:
         """Forget every translation made since the mark was taken.
 
         Both tables keep insertion order, so the newer entries are the last
-        ones.  Defining atoms are numbered from the mark again, so the cone of
+        ones.  Variables are numbered from the mark again, so the cone of
         each variable whose literal goes is forgotten (an older one is just
-        computed again), and the store drops the forgotten clauses.
+        computed again), the store drops the forgotten clauses, and its
+        `names` the forgotten variables.
         """
-        literals, defs, stored = mark
+        literals, defs, stored, named = mark
         while len(self._literal) > literals:
             _, lit = self._literal.popitem()
             self._cones.pop(abs(lit), None)
         while len(self._defs) > defs:
             self._defs.popitem()
         self.store.truncate(stored)
+        del self.store.names[named:]
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""
@@ -91,17 +93,13 @@ class CnfBuilder:
         if known is not None:
             return known
         if isinstance(formula, Atom):
-            if is_aux(formula):
-                raise ValueError(
-                    f"atom {formula} uses the reserved '{AUX_PREFIX}' namespace"
-                )
-            lit = self._var(formula)
+            lit = self._number(formula)
         elif isinstance(formula, Not):
             lit = -self.add(formula.operand)
         else:
             left = self.add(formula.left)
             right = self.add(formula.right)
-            out = self._fresh_aux()
+            out = self._number(f"${len(self._defs)}")
             if isinstance(formula, And):
                 defs = [(-out, left), (-out, right), (out, -left, -right)]
             elif isinstance(formula, Or):
@@ -180,25 +178,32 @@ class CnfBuilder:
         return Problem(self.store, asserted, active)
 
 
-def clausify(formulas: Sequence[Formula], signature: Signature) -> Problem:
+def clausify(formulas: Sequence[Formula]) -> Problem:
     """The problem asserting every formula in the sequence.
 
-    A fresh builder translates the formulas, so no definition carries over
-    from one call to the next; atoms are numbered by `signature`'s registry.
+    A fresh builder numbers the formulas' atoms first, in order and left
+    first, as a domain of rules numbers its rules' atoms, and then
+    translates the formulas, so no definition carries over from one call
+    to the next.
     """
-    builder = CnfBuilder(signature)
+    builder = CnfBuilder()
+    for formula in formulas:
+        for node in walk(formula):
+            if isinstance(node, Atom):
+                builder.add(node)
     return builder.clause_set([builder.add(f) for f in formulas])
 
 
-def to_dimacs(problem: Problem, signature: Signature) -> str:
+def to_dimacs(problem: Problem) -> str:
     """DIMACS-style listing with a comment table decoding the variables.
 
-    Each variable the clauses use is named by its atom in `signature`'s
-    registry, defining atoms included.
+    Each variable the clauses use is named as its builder named it in the
+    problem's store: by its atom, or `$n` for the n-th definition.
     """
     clauses = problem.clauses
+    names = problem.store.names
     used = sorted({abs(lit) for clause in clauses for lit in clause})
-    lines = [f"c {var} = {signature.atom_at(var - 1)}" for var in used]
+    lines = [f"c {var} = {names[var - 1]}" for var in used]
     lines.append(f"p cnf {max(used, default=0)} {len(clauses)}")
     for clause in clauses:
         lines.append(" ".join(str(lit) for lit in sorted(clause)) + " 0")

@@ -145,10 +145,12 @@ class DomainOfRules:
         self.signature = signature
         self.max_decisions = max_decisions
         rules = self.axioms + self.hypotheses
-        # Register atoms in rule order so registry indices, and with them the
-        # solver's branching order, follow the order rules were stated in.
+        # The builder numbers the rule atoms first, in the order the rules
+        # were stated and left first, so the solver branches in that order.
         rule_atoms = [signature.register_formula(f) for f in rules]
-        self._builder = CnfBuilder(signature)
+        self._builder = CnfBuilder()
+        for atom in itertools.chain(*rule_atoms):
+            self._builder.add(atom)
         tops = [self._builder.add(f) for f in rules]
         first_hyp = len(self.axioms)
         self._hyp_tops = tuple(tops[first_hyp:])

@@ -19,10 +19,8 @@ quantification the language supports (implicit universal prefixes).
 
 The Signature owns every name and keeps one node per distinct atom, which
 the parser and grounding take their atoms from, so equal atoms are one
-object.  It also acts as the atom registry: each distinct ground atom
-receives a dense integer index in first-seen order, and those indices drive
-clause literals and the branching order of the satisfiability engine, so
-index assignment is append-only.
+object.  It numbers nothing: the clause builder (`cnf.CnfBuilder`) numbers
+the variables of each translation itself.
 """
 
 from __future__ import annotations
@@ -33,12 +31,7 @@ from typing import (
     Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
 )
 
-from .errors import (
-    ArityMismatch,
-    EmptyDomain,
-    FormulaSyntaxError,
-    UnknownSymbol,
-)
+from .errors import ArityMismatch, EmptyDomain, FormulaSyntaxError
 
 _set = object.__setattr__  # past Record.__setattr__; looked up once, for speed
 
@@ -318,12 +311,12 @@ def print_formula(formula: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Signatures and the atom registry
+# Signatures
 # ---------------------------------------------------------------------------
 
 
 class Signature:
-    """Declared predicates and constants, atom nodes and the index registry.
+    """Declared predicates and constants, and one node per atom.
 
     Parsing text against a signature declares new predicates (with the
     arity of their first use) and new constants on sight, and checks the
@@ -332,9 +325,6 @@ class Signature:
 
     `atom` hands out one node per distinct predicate and arguments, checked
     when it is made; the parser and grounding take their atoms from it.
-    Indices for ground atoms, clausifiers' defining atoms among them, are a
-    separate table: `register_formula` and `index_of` hand them out densely
-    in first-seen order, and they never change afterwards.
     """
 
     def __init__(self, constants: Iterable[str] = ()) -> None:
@@ -343,8 +333,6 @@ class Signature:
         for name in constants:
             self.declare_constant(name)
         self._nodes: dict[tuple[str, tuple[str, ...]], Atom] = {}
-        self._atom_index: dict[Atom, int] = {}
-        self._atoms: list[Atom] = []
 
     # -- declarations -------------------------------------------------------
 
@@ -380,8 +368,7 @@ class Signature:
         """Forget the predicates, constants and atom nodes made since the mark.
 
         All three tables keep insertion order, so the newer entries are the
-        last ones.  Parsing and grounding never index an atom, so the
-        registry is left alone.
+        last ones.
         """
         tables = self._arities, self._constants, self._nodes
         for table, size in zip(tables, mark):
@@ -398,15 +385,6 @@ class Signature:
     def constants(self) -> tuple[str, ...]:
         """Declared constants, in declaration order (the grounding order)."""
         return tuple(self._constants)
-
-    def has_predicate(self, name: str) -> bool:
-        return name in self._arities
-
-    def arity_of(self, name: str) -> int:
-        try:
-            return self._arities[name]
-        except KeyError:
-            raise UnknownSymbol(f"undeclared predicate '{name}'") from None
 
     def check_atom(self, atom: Atom) -> None:
         """Validate an atom against the declarations, declaring new names."""
@@ -425,36 +403,19 @@ class Signature:
             self._nodes[key] = node
         return node
 
-    # -- atom registry ------------------------------------------------------
-
-    def index_of(self, atom: Atom) -> int:
-        """Dense index of a ground atom, allocated on first sight."""
-        found = self._atom_index.get(atom)
-        if found is None:
-            found = len(self._atoms)
-            self._atoms.append(atom)
-            self._atom_index[atom] = found
-        return found
-
-    def atom_at(self, index: int) -> Atom:
-        return self._atoms[index]
-
-    def registered_atoms(self) -> tuple[Atom, ...]:
-        return tuple(self._atoms)
-
-    def register_formula(self, formula: Formula) -> frozenset[Atom]:
-        """Validate a formula's atoms and index the ground ones, left first.
+    def register_formula(self, formula: Formula) -> tuple[Atom, ...]:
+        """Validate a formula's atoms; the distinct ones in order, left first.
 
         Atoms the signature made itself were checked then and are not
-        checked again.  Returns the atoms walked, the formula's `atoms_of`.
+        checked again.
         """
-        atoms = [node for node in walk(formula) if isinstance(node, Atom)]
+        atoms = tuple(dict.fromkeys(
+            node for node in walk(formula) if isinstance(node, Atom)
+        ))
         for atom in atoms:
             if self._nodes.get(atom._key) is not atom:
                 self.check_atom(atom)
-            if atom._ground:
-                self.index_of(atom)
-        return frozenset(atoms)
+        return atoms
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +539,10 @@ class _Parser:
                 parts.append(self.take("IDENT", "a constant or variable")[1])
             self.take("RPAREN", "')' or ','")
             args = tuple(parts)
-        return self._sig.atom(name, args)
+        try:
+            return self._sig.atom(name, args)
+        except FormulaSyntaxError as clash:
+            raise FormulaSyntaxError(clash.core, position) from None
 
 
 def parse_formula(text: str, signature: Optional[Signature] = None) -> Formula:

@@ -9,12 +9,12 @@ definition's clauses go in once, and a search activates only the
 definitions its assumptions reach.
 
 The search order is pinned down so that results are reproducible: branch
-on the unassigned atom with the lowest registry index, try False before
-True, and propagate unit clauses exhaustively between decisions.  The
-assumptions are propagated before the first decision, as unit clauses
-would be.  There is deliberately no pure-literal rule and no learned-clause
-machinery; at the problem sizes this package targets, a predictable search
-beats a clever one.
+on the unassigned variable with the lowest number, try False before True,
+and propagate unit clauses exhaustively between decisions.  The assumptions
+are propagated before the first decision, as unit clauses would be.  There
+is deliberately no pure-literal rule and no learned-clause machinery; at the
+problem sizes this package targets, a predictable search beats a clever
+one.
 
 Every assignment attempt at a branch point counts as one decision against a
 budget (10 million by default); exceeding the budget raises ResourceLimit
@@ -56,13 +56,17 @@ class ClauseStore:
 
     Clauses are literal tuples numbered in the order they were added, and
     `truncate` cuts off the latest ones, so a store grows and shrinks as a
-    stack of layers.  `spent` sums the decisions of the searches over the
-    store since it was last set to zero, for a budget shared between them.
+    stack of layers.  `names` holds the name of each variable, variable v
+    at `names[v - 1]`; the clause builder that fills the store numbers the
+    variables and keeps the list.  `spent` sums the decisions of the
+    searches over the store since it was last set to zero, for a budget
+    shared between them.
     """
 
     def __init__(self) -> None:
         self.clauses: list[tuple[int, ...]] = []
         self.occurrences: dict[int, list[int]] = {}
+        self.names: list[object] = []
         self.spent = 0
 
     def add(self, clause: Iterable[int]) -> int:

@@ -14,7 +14,7 @@ components' axiom sets, so a variety is held as one domain of rules and,
 per component, a selection of that domain's hypotheses: the component's
 axioms are the domain's axioms plus the selected hypotheses.  The variety
 of a domain is that domain itself, with the selections of its maximal
-positions, so nothing is built, registered or translated a second time.  A
+positions, so nothing is built, checked or translated a second time.  A
 variety given as a list of calculi gets an axiom-free domain whose
 hypotheses are the distinct component formulas, with the default decision
 budget.  Upper levels, compatibility and depth are asked of the domain,
@@ -64,10 +64,10 @@ class Calculus:
 
     Theorem membership is `theorem_in`, decided by classical entailment.
     Construction leaves the signature alone: a variety holding the calculus
-    checks and registers the atoms of its (renamed) axioms there.  Equality
-    compares the axiom sets, ignoring the signature, so structurally equal
-    calculi over the same language compare equal no matter where they were
-    built.
+    checks the atoms of its (renamed) axioms there, and its domain's clause
+    builder numbers them.  Equality compares the axiom sets, ignoring the
+    signature, so structurally equal calculi over the same language compare
+    equal no matter where they were built.
     """
 
     def __init__(self, axioms: Iterable[Formula], signature: Signature) -> None:

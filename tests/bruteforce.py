@@ -347,7 +347,10 @@ class ReferenceParser:
                 parts.append(self.expect("IDENT", "a constant or variable")[1])
             self.expect("RPAREN", "')' or ','")
             args = tuple(parts)
-        return self._sig.atom(name, args)
+        try:
+            return self._sig.atom(name, args)
+        except FormulaSyntaxError as clash:
+            raise FormulaSyntaxError(clash.core, position) from None
 
 
 def reference_formula(text: str, signature: Signature) -> Formula:

@@ -11,6 +11,10 @@ interpreters without pytest:
     python tests/cli_outputs.py           # compare, exit 1 on drift
     python tests/cli_outputs.py --write   # re-record every case
 
+Compare mode names the cases that drifted and which of their results did;
+`--write` says how many recorded cases it kept byte-identical, changed,
+added and dropped, matching cases by group, argv, stdin and inputs.
+
 Arguments beginning with `{root}/` name files of this checkout.
 """
 
@@ -91,6 +95,26 @@ PROBE = "perm.\n-perm.\nact.\nperm & -perm.\nmay_vote(paul).\n"
 # The permit base's positions take no decision to find, but refuting the
 # negation of this tautology over two atoms in no rule takes two.
 SPLIT_PROBE = "perm.\n(x & y) | (x & -y) | (-x & y) | (-x & -y).\n"
+
+# Sessions whose last question exceeds its budget, as it does when asked of
+# a fresh load of the session's final base: an earlier question or edit
+# leaves no trace in how the last one is numbered and searched.
+EDIT_BASE = "hypotheses:\n    -e.\n    -b.\n    -d.\n"
+EDIT_QUESTION = "(((d | -a) & -a) | ((-d <-> c) <-> --b))"
+EDIT_SESSION = f"""\
+infer ((e & -d) & (e -> -d))
+assert-hyp -(-e -> -d)
+infer {EDIT_QUESTION}
+"""
+ASK_BASE = """\
+hypotheses:
+    (-c & (-c -> e)).
+    (--c <-> (-a -> c)).
+    d.
+    ((b | c) | (-e -> -b)).
+"""
+ASK_QUESTION = "(-d <-> ((d <-> -f) -> (f <-> -c)))"
+ASK_SESSION = f"infer ((-g -> -c) <-> (g | f))\ninfer {ASK_QUESTION}\n"
 
 
 def _inputs() -> list[str]:
@@ -176,6 +200,15 @@ def cases() -> list[dict]:
             inputs={"split.lri": SPLIT_PROBE})
     add("budget", ["compat", permit, "0", "1", "--max-decisions", "0"])
     add("budget", ["witness", "6", "--max-decisions", "0"])
+    add("budget", ["repl", "s.lri", "--max-decisions", "3"],
+        stdin=EDIT_SESSION, inputs={"s.lri": EDIT_BASE})
+    add("budget", ["infer", "--max-decisions", "3", "edited.lri",
+                   EDIT_QUESTION],
+        inputs={"edited.lri": EDIT_BASE + "    -(-e -> -d).\n"})
+    add("budget", ["repl", "s2.lri", "--max-decisions", "6"],
+        stdin=ASK_SESSION, inputs={"s2.lri": ASK_BASE})
+    add("budget", ["infer", "--max-decisions", "6", "s2.lri", ASK_QUESTION],
+        inputs={"s2.lri": ASK_BASE})
     return out
 
 
@@ -218,18 +251,35 @@ def replay(case: dict) -> dict:
     return result
 
 
+RESULTS = ("stdout", "stderr", "code", "files")
+
+
 def load() -> list[dict]:
     return json.loads(PINNED.read_text(encoding="utf-8"))
 
 
+def _key(case: dict) -> str:
+    """What makes a case the case it is: group, argv, stdin and inputs."""
+    return json.dumps(
+        [case.get(f) for f in ("group", "argv", "stdin", "inputs")],
+        sort_keys=True,
+    )
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--write"]:
+        old = {_key(case): case for case in load()} if PINNED.exists() else {}
         pinned = [dict(case, **replay(case)) for case in cases()]
         PINNED.write_text(
             json.dumps(pinned, indent=1, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        print(f"wrote {len(pinned)} cases to {PINNED.relative_to(ROOT)}")
+        kept = sum(old.get(_key(case)) == case for case in pinned)
+        added = sum(_key(case) not in old for case in pinned)
+        dropped = len(old.keys() - {_key(case) for case in pinned})
+        print(f"wrote {len(pinned)} cases to {PINNED.relative_to(ROOT)}: "
+              f"{kept} unchanged, {len(pinned) - kept - added} changed, "
+              f"{added} added, {dropped} dropped")
         return 0
     drift = 0
     pinned = load()
@@ -237,7 +287,8 @@ def main(argv: list[str]) -> int:
         got = dict(case, **replay(case))
         if got != case:
             drift += 1
-            print("differs:", " ".join(case["argv"]))
+            which = [f for f in RESULTS if got.get(f) != case.get(f)]
+            print(f"differs ({', '.join(which)}):", " ".join(case["argv"]))
     print(f"{sys.version.split()[0]}: {len(pinned) - drift} of "
           f"{len(pinned)} cases as pinned")
     return 1 if drift else 0

@@ -47,9 +47,9 @@ def texts(formulas):
     return [print_formula(f) for f in formulas]
 
 
-def solver_problem(formulas, signature):
+def solver_problem(formulas):
     """A fresh builder's `sat.Problem` asserting every formula."""
-    builder = CnfBuilder(signature)
+    builder = CnfBuilder()
     return builder.problem([builder.add(f) for f in formulas])
 
 

@@ -3,15 +3,19 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lri import cli, cnf, engine
+from lri import cli, cnf, engine, print_formula, sat
 from lri.cli import ReplSession
 from lri.kb import load, loads
+
+from bruteforce import make_atoms, random_formula
+from conftest import record_solves
 
 ROOT = Path(__file__).resolve().parents[1]
 PERMIT_SAMPLE = str(ROOT / "samples/permit.lri")
@@ -752,6 +756,61 @@ def test_repl_edit_drops_the_answers_before_it(edit):
     fresh.handle(edit)
     for query in ("infer -perm", "positions", "justify perm", "context"):
         assert kept.handle(query) == fresh.handle(query)
+
+
+def _random_session(seed):
+    """Four distinct hypotheses over a-e, as a base without the last and
+    with it, and two questions over a-g."""
+    rng = random.Random(seed)
+    hypotheses: list = []
+    while len(hypotheses) < 4:
+        formula = random_formula(rng, make_atoms(5))
+        if formula not in hypotheses:
+            hypotheses.append(formula)
+    printed = [print_formula(f) for f in hypotheses]
+    base = "hypotheses:\n" + "".join(f"    {f}.\n" for f in printed[:3])
+    questions = [
+        print_formula(random_formula(rng, make_atoms(7))) for _ in range(2)
+    ]
+    return base, base + f"    {printed[3]}.\n", printed[3], questions
+
+
+def _searches(recorded, session, line):
+    """Each search the command made: its problem, outcome and decisions."""
+    recorded.clear()
+    session.handle(line)
+    cap = sat.DEFAULT_MAX_DECISIONS
+    return [
+        (p.assumptions, p.clauses, sat._search(p, cap)[:2]) for p in recorded
+    ]
+
+
+def test_a_question_after_an_edit_searches_as_on_a_fresh_load(monkeypatch):
+    """The variables of a question or an edit do not outlive it, so the next
+    question is numbered, and searched, as on a fresh load."""
+    recorded = record_solves(monkeypatch)
+    for seed in range(300):
+        base, edited, added, (first, second) = _random_session(seed)
+        session = ReplSession(loads(base))
+        session.handle(f"infer {first}")
+        assert session.handle(f"assert-hyp {added}")["verdict"]["accepted"]
+        fresh = ReplSession(loads(edited))
+        assert _searches(recorded, session, f"infer {second}") == _searches(
+            recorded, fresh, f"infer {second}"
+        ), seed
+
+
+def test_a_second_question_answers_as_on_a_fresh_load_at_any_budget():
+    """Under a budget too, an earlier question leaves no trace in the next."""
+    for seed in range(100):
+        _, base, _, (first, second) = _random_session(seed)
+        for budget in range(8):
+            session = ReplSession(loads(base), budget)
+            session.handle(f"infer {first}")
+            fresh = ReplSession(loads(base), budget)
+            assert session.handle(f"infer {second}") == fresh.handle(
+                f"infer {second}"
+            ), (seed, budget)
 
 
 def test_repl_failed_domain_build_is_not_kept(counts):

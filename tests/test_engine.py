@@ -6,7 +6,6 @@ import random
 import pytest
 
 from lri import (
-    And,
     Atom,
     AxiomHypothesisOverlap,
     Calculus,
@@ -14,16 +13,12 @@ from lri import (
     DomainOfRules,
     DuplicateHypothesis,
     InconsistentAxioms,
-    Iff,
-    Implies,
     Justification,
     MixedDomains,
     Not,
-    Or,
     Position,
     ProbeUniverse,
     Signature,
-    atoms_of,
     in_reasonable_theory,
     is_consistent_context,
     justifications,
@@ -250,15 +245,13 @@ def test_a_long_lived_domain_keeps_its_size(permit_domain):
     """A domain keeps the clause definitions of its latest question only.
 
     After each question it holds as many definitions as a new domain asked
-    that question alone, and its signature has registered one defining atom
-    per definition of the largest question so far: names are reused.
+    that question alone, and it has numbered and named the same variables:
+    the rules' and that question's own.
     """
-    registered = permit_domain.signature.registered_atoms
-    built = len(registered())
+    names = permit_domain._builder.store.names
     atoms = [Atom(name) for name in ("act", "perm", "ex")]
     rng = random.Random(8)
     asked: set = set()
-    largest = 0
     while len(asked) < 1000:
         phi = random_formula(rng, atoms, depth=5)
         if phi in asked:
@@ -270,8 +263,7 @@ def test_a_long_lived_domain_keeps_its_size(permit_domain):
         reasonably_infers(alone, phi)
         own = len(alone._builder._defs) - rules
         assert len(permit_domain._builder._defs) == rules + own
-        largest = max(largest, own)
-        assert len(registered()) == built + largest
+        assert names == alone._builder.store.names
 
 
 def test_a_long_lived_store_holds_the_rules_and_one_question(permit_domain):
@@ -341,8 +333,11 @@ def test_a_long_lived_domain_keeps_cones_of_the_rules_and_one_question(
     reuses.
     """
     builder = permit_domain._builder
+    names = builder.store.names
     rule_vars = {abs(lit) for lit in builder._literal.values()}
-    rule_defs = len(builder._defs)
+    translated = set(builder._literal)
+    named = len(names)
+    assert rule_vars == set(range(1, named + 1))
     rules = [Atom(name) for name in ("act", "perm", "ex")]
     rng = random.Random(10)
     asked: set = set()
@@ -356,16 +351,10 @@ def test_a_long_lived_domain_keeps_cones_of_the_rules_and_one_question(
             continue
         asked.add(phi)
         reasonably_infers(permit_domain, phi)
-        var = {
-            atom: i + 1
-            for i, atom in enumerate(permit_domain.signature.registered_atoms())
-        }
-        binary = sum(
-            isinstance(node, (And, Or, Implies, Iff)) for node in walk(phi)
-        )
-        aux = (Atom(f"${n}") for n in range(rule_defs, rule_defs + binary))
-        question_vars = {var[atom] for atom in atoms_of(phi)}
-        question_vars.update(var[atom] for atom in aux if atom in var)
+        # one variable per atom and connective the rules did not translate
+        own = {n for n in walk(phi) if not isinstance(n, Not)} - translated
+        assert len(names) == named + len(own)
+        question_vars = set(range(named + 1, len(names) + 1))
         assert set(builder._cones) <= rule_vars | question_vars
         assert abs(builder._literal[phi]) in builder._cones
 

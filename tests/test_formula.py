@@ -18,7 +18,6 @@ from lri import (
     Not,
     Or,
     Signature,
-    UnknownSymbol,
     atoms_of,
     ground,
     is_ground,
@@ -231,8 +230,7 @@ def test_deep_nesting_parses():
 def test_open_signature_declares_on_sight():
     sig = Signature()
     parse_formula("holds(a) -> q", sig)
-    assert sig.has_predicate("holds") and sig.arity_of("holds") == 1
-    assert sig.has_predicate("q") and sig.arity_of("q") == 0
+    assert dict(sig.predicates) == {"holds": 1, "q": 0}
     assert sig.constants == ("a",)
 
 
@@ -245,16 +243,23 @@ def test_arity_mismatch():
         parse_formula("holds", sig)
 
 
-def test_arity_of_an_undeclared_predicate_is_unknown():
-    with pytest.raises(UnknownSymbol, match="undeclared predicate 'p'"):
-        Signature().arity_of("p")
-
-
 def test_predicate_and_constant_namespaces_are_disjoint():
     sig = Signature()
     parse_formula("p(a)", sig)
     with pytest.raises(FormulaSyntaxError):
         parse_formula("a", sig)
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [("q & -(r | a)", 10), ("q & s(p)", 4), ("q(b, p)", 0)],
+)
+def test_a_name_clash_is_reported_at_the_clashing_atom(text, position):
+    sig = Signature()
+    parse_formula("p(a)", sig)
+    with pytest.raises(FormulaSyntaxError, match="is already a") as err:
+        parse_formula(text, sig)
+    assert err.value.position == position
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +425,8 @@ def test_atoms_of(text, expected):
 
 
 # ---------------------------------------------------------------------------
-# Atom registry
+# Registering formulas
 # ---------------------------------------------------------------------------
-
-
-def test_atom_indices_are_dense_and_first_seen():
-    sig = Signature()
-    f = parse_formula("b -> a", sig)
-    sig.register_formula(f)
-    assert sig.index_of(Atom("b")) == 0
-    assert sig.index_of(Atom("a")) == 1
-    assert sig.index_of(Atom("b")) == 0
-    assert sig.registered_atoms() == (Atom("b"), Atom("a"))
-    assert sig.atom_at(1) == Atom("a")
 
 
 def test_registering_checks_atoms_the_signature_did_not_make():
@@ -440,6 +434,7 @@ def test_registering_checks_atoms_the_signature_did_not_make():
     parse_formula("p(a) & q", sig)
     with pytest.raises(ArityMismatch):
         sig.register_formula(Atom("p"))
-    sig.register_formula(And(Atom("q"), Atom("r", ("b",))))
+    rule = And(Atom("q"), Or(Atom("r", ("b",)), Atom("q")))
+    assert sig.register_formula(rule) == (Atom("q"), Atom("r", ("b",)))
     assert sig.predicates == (("p", 1), ("q", 0), ("r", 1))
     assert sig.constants == ("a", "b")

@@ -15,7 +15,6 @@ from lri import (
     parse_formula,
     print_formula,
 )
-from lri.cnf import is_aux
 from lri.formula import walk
 from lri.kb import dump_domain, dumps, load, loads, save
 
@@ -101,6 +100,13 @@ def test_syntax_errors_report_section_and_absolute_position():
         loads(text)
     assert "in hypotheses section" in str(exc.value)
     assert text[exc.value.position] == "."
+
+
+def test_a_name_clash_points_at_the_clashing_atom():
+    text = "constants: a\naxioms:\n    p(a).\nhypotheses:\n    q.\n    a.\n"
+    with pytest.raises(FormulaSyntaxError, match="'a' is already a") as exc:
+        loads(text)
+    assert exc.value.position == 54 and text[54:56] == "a."
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +198,7 @@ def test_rejected_constant_leaves_the_signature_unchanged():
     with pytest.raises(UnknownSymbol, match="constant 'zz' is not"):
         kb.ground_statements("r(a). s(zz).")
     assert kb.signature.constants == ("a",)
-    assert not kb.signature.has_predicate("q")
+    assert "q" not in dict(kb.signature.predicates)
     assert texts(kb.ground_statements("q(X). r(a).")) == ["q(a)", "r(a)"]
 
 
@@ -212,12 +218,12 @@ def test_a_refused_statement_leaves_an_open_signature_unchanged():
         kb.parse_query("t(a) & p(a, zz)")
     assert kb.signature.constants == ("a",)
     for name in ("r", "s", "t"):
-        assert not kb.signature.has_predicate(name)
+        assert name not in dict(kb.signature.predicates)
     assert texts(kb.parse_query("p(X)")) == ["p(a)"]
     empty = loads("axioms:\n    p.\n")
     with pytest.raises(EmptyDomain):
         empty.parse_query("r(X)")
-    assert not empty.signature.has_predicate("r")
+    assert "r" not in dict(empty.signature.predicates)
     assert texts(empty.parse_query("r")) == ["r"]
 
 
@@ -375,9 +381,11 @@ def test_rule_atoms_are_registered_in_stated_order_left_first(path):
         for rule in domain.axioms + domain.hypotheses
         for atom in _atoms_left_first(rule)
     ))
-    registered = base.signature.registered_atoms()
-    assert registered[: len(expected)] == expected
-    assert all(is_aux(atom) for atom in registered[len(expected):])
+    names = domain._builder.store.names
+    assert tuple(names[: len(expected)]) == expected
+    assert names[len(expected):] == [
+        f"${n}" for n in range(len(names) - len(expected))
+    ]
 
 
 def test_a_ground_base_loads_and_builds_in_one_walk_per_rule(monkeypatch):

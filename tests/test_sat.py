@@ -16,7 +16,6 @@ from lri import (
     parse_formula,
 )
 from lri import sat
-from lri.cnf import is_aux
 from lri.engine import minimal_inconsistent_subset
 
 from bruteforce import (
@@ -31,21 +30,21 @@ from bruteforce import (
 from conftest import solver_problem
 
 
-def _problem(texts, sig=None):
-    sig = sig or Signature()
-    return solver_problem([parse_formula(t, sig) for t in texts], sig)
+def _problem(texts):
+    sig = Signature()
+    return solver_problem([parse_formula(t, sig) for t in texts])
 
 
 def _search(problem):
     return sat._search(problem, sat.DEFAULT_MAX_DECISIONS)
 
 
-def _model(value, sig):
+def _model(value, problem):
     """The search's assignment of the source atoms; untouched ones are False."""
     return {
-        atom: value.get(index + 1, False)
-        for index, atom in enumerate(sig.registered_atoms())
-        if not is_aux(atom)
+        atom: value.get(var, False)
+        for var, atom in enumerate(problem.store.names, 1)
+        if isinstance(atom, Atom)
     }
 
 
@@ -91,36 +90,34 @@ def test_contradictory_assumptions_are_unsatisfiable_without_decisions():
 def test_unit_propagation_needs_no_decisions():
     # a chain of implications with the head asserted resolves by
     # propagation alone
-    sig = Signature()
-    satisfiable, decisions, value = _search(
-        _problem(["a", "a -> b", "b -> c", "c -> d"], sig)
-    )
+    problem = _problem(["a", "a -> b", "b -> c", "c -> d"])
+    satisfiable, decisions, value = _search(problem)
     assert satisfiable
     assert decisions == 0
-    assert all(_model(value, sig)[Atom(n)] for n in "abcd")
+    assert all(_model(value, problem)[Atom(n)] for n in "abcd")
 
 
 def test_model_totalized_with_false_defaults():
-    sig = Signature()
     # q is mentioned only inside a dropped tautology, so no clause
     # constrains it and the search never assigns it
-    satisfiable, _, value = _search(_problem(["p", "q | -q"], sig))
+    problem = _problem(["p", "q | -q"])
+    satisfiable, _, value = _search(problem)
     assert satisfiable
-    assert sig.index_of(Atom("q")) + 1 not in value
-    assert _model(value, sig)[Atom("q")] is False
+    assert problem.store.names.index(Atom("q")) + 1 not in value
+    assert _model(value, problem)[Atom("q")] is False
 
 
 def test_branch_order_lowest_index_false_first():
     # p | q alone: branching on p=False propagates q=True
-    sig = Signature()
-    satisfiable, decisions, value = _search(_problem(["p | q"], sig))
+    problem = _problem(["p | q"])
+    satisfiable, decisions, value = _search(problem)
     assert satisfiable and decisions == 1
-    assert _model(value, sig) == {Atom("p"): False, Atom("q"): True}
+    assert _model(value, problem) == {Atom("p"): False, Atom("q"): True}
     # forcing p leaves q at its False default under the same ordering
-    sig = Signature()
-    _, decisions, value = _search(_problem(["p | q", "p"], sig))
+    problem = _problem(["p | q", "p"])
+    _, decisions, value = _search(problem)
     assert decisions == 0
-    assert _model(value, sig) == {Atom("p"): True, Atom("q"): False}
+    assert _model(value, problem) == {Atom("p"): True, Atom("q"): False}
 
 
 def test_decision_limit_raises():
@@ -199,13 +196,13 @@ def test_verified_model_satisfies_every_formula():
         formulas = [
             random_formula(rng, atoms, 3) for _ in range(rng.randint(1, 4))
         ]
-        sig = Signature()
-        satisfiable, _, value = _search(solver_problem(formulas, sig))
+        problem = solver_problem(formulas)
+        satisfiable, _, value = _search(problem)
         if not satisfiable:
             continue
         literals = [
             atom if true else Not(atom)
-            for atom, true in _model(value, sig).items()
+            for atom, true in _model(value, problem).items()
         ]
         oracle = TableOracle(formulas)
         for formula in formulas:

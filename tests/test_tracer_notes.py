@@ -22,11 +22,11 @@ def test_each_noted_field_exists_on_the_real_result(permit_domain):
     tracer = _tracer()
     sig = permit_domain.signature
     perm = parse_formula("perm", sig)
-    builder = CnfBuilder(sig)
+    builder = CnfBuilder()
     top = builder.add(parse_formula("act & perm", sig))
     results = {
         "sat.solve": sat.solve(
-            solver_problem([perm, parse_formula("-perm", sig)], sig)
+            solver_problem([perm, parse_formula("-perm", sig)])
         ),
         "cnf.clause_set": builder.clause_set([top]),
         "engine.positions": maximal_positions(permit_domain),

@@ -162,7 +162,7 @@ def test_variety_questions_stay_inside_islands(solves):
     axioms, hypotheses, *_ = paired_exceptions(6)
     v = variety_of(new_domain(axioms, hypotheses, sig))
     assert len(v) == 64
-    whole = len(clausify(v.renamed_axioms(0), sig).clauses)
+    whole = len(clausify(v.renamed_axioms(0)).clauses)
 
     solves.clear()
     assert upper_level(v, [Atom("q0")]) == (Atom("q0"),)
