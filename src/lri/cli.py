@@ -24,7 +24,9 @@ The interactive session (`repl`) reads one command per line.  An edit
 replaces the rule base and echoes the recomputed hypothesis indices, the
 queries between edits share one domain, and each query is numbered and
 searched as on a fresh load, so it produces exactly the document its batch
-counterpart would, under a decision budget too; user errors never end it.
+counterpart would, under a decision budget too.  The one exception is an
+error document: the session's carries the command's text as its input,
+where the batch one carries an empty input.  User errors never end it.
 
 The argument parser is built on the first `main` call, not at import, and
 shared by every later `main` call in the process.  Parsing leaves it

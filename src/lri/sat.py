@@ -10,11 +10,12 @@ definitions its assumptions reach.
 
 The search order is pinned down so that results are reproducible: branch
 on the unassigned variable with the lowest number, try False before True,
-and propagate unit clauses exhaustively between decisions.  The assumptions
-are propagated before the first decision, as unit clauses would be.  There
-is deliberately no pure-literal rule and no learned-clause machinery; at the
-problem sizes this package targets, a predictable search beats a clever
-one.
+and propagate unit clauses exhaustively between decisions, reading each
+active clause a literal falsifies rather than keeping counts.  The
+assumptions are propagated before the first decision, as unit clauses would
+be.  There is deliberately no pure-literal rule and no learned-clause
+machinery; at the problem sizes this package targets, a predictable search
+beats a clever one.
 
 Every assignment attempt at a branch point counts as one decision against a
 budget (10 million by default); exceeding the budget raises ResourceLimit
@@ -29,7 +30,7 @@ in `tests/bruteforce.py`.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import ResourceLimit
 from .formula import Record
@@ -94,15 +95,16 @@ class ClauseStore:
 class Problem:
     """Assumption literals over a store, with the clauses they activate.
 
-    `active` numbers the store's clauses this search takes into account;
-    `clauses` lists them with one unit clause per assumption, as one sorted
-    clause set, and is built only when asked.
+    `active` is the set of the numbers of the store's clauses this search
+    takes into account; the search asks it of every clause a falsified
+    literal occurs in.  `clauses` lists them with one unit clause per
+    assumption, as one sorted clause set, and is built only when asked.
     """
 
     def __init__(self, store, assumptions, active) -> None:
         self.store: ClauseStore = store
         self.assumptions: tuple[int, ...] = assumptions
-        self.active: Collection[int] = active
+        self.active: set[int] = active
 
     @property
     def clauses(self) -> tuple[frozenset[int], ...]:
@@ -123,35 +125,34 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
 
     The assignment leaves out atoms the search did not touch; they are
     False.  The decisions are added to the store's `spent`, and the budget
-    counts from there.  Most searches propagate a handful of clauses, so
-    the search sets up no more than it must: propagation walks a list as
-    its queue, a decision is counted where it is made, and the model is
-    checked clause by clause against the assignment.  `reference_search` in
-    `tests/bruteforce.py` is the same search written plainly.
+    counts from there.  The search keeps no per-clause state, only the
+    assignment and its trail: a clause is read whenever one of its literals
+    turns false, backtracking pops the trail, and the search ends once no
+    active clause is left without a true literal.  Most searches propagate
+    a handful of clauses, so the search sets up no more than it must:
+    propagation walks a list as its queue, a decision is counted where it
+    is made, and the model is checked clause by clause against the
+    assignment.  `reference_search` in `tests/bruteforce.py` is the same
+    search written plainly, with a counter per clause.
     """
     store = problem.store
     clauses = store.clauses
     occurrences = store.occurrences
     active = problem.active
-    unassigned = {n: len(clauses[n]) for n in active}
-    satisfied = dict.fromkeys(active, 0)
-    target = len(unassigned)
     spent = store.spent
     value: dict[int, bool] = {}
     get = value.get
     trail: list[int] = []
-    covered = 0  # active clauses with at least one true literal
     decisions = 0
     variables: list[int] = []
 
     def propagate(queue: list[int]) -> bool:
         """Assign queued literals and their unit consequences, in FIFO order.
 
-        A unit literal is appended to the list being walked.  False on
-        conflict.  A literal's clauses are all updated before the conflict
-        is reported, so that `undo` can restore them.
+        Each active clause a new literal falsifies is read: it holds a true
+        literal, or its one unassigned literal is appended to the list being
+        walked, or it is a conflict and the answer is False.
         """
-        nonlocal covered
         for lit in queue:
             var = abs(lit)
             known = get(var)
@@ -161,50 +162,43 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
                 continue
             value[var] = lit > 0
             trail.append(var)
-            for n in occurrences.get(lit, ()):
-                held = satisfied.get(n)
-                if held is not None:
-                    unassigned[n] -= 1
-                    if not held:
-                        covered += 1
-                    satisfied[n] = held + 1
-            conflict = False
             for n in occurrences.get(-lit, ()):
-                held = satisfied.get(n)
-                if held is not None:
-                    left = unassigned[n] = unassigned[n] - 1
-                    if held or left > 1:
-                        continue
-                    if not left:
-                        conflict = True
-                    elif not conflict:
-                        for unit in clauses[n]:
-                            if abs(unit) not in value:
-                                queue.append(unit)
-                                break
-            if conflict:
-                return False
+                if n not in active:
+                    continue
+                unit = 0
+                for other in clauses[n]:
+                    held = get(abs(other))
+                    if held is None:
+                        if unit:
+                            break
+                        unit = other
+                    elif held == (other > 0):
+                        break
+                else:
+                    if not unit:
+                        return False
+                    queue.append(unit)
         return True
 
     def undo(mark: int) -> None:
-        nonlocal covered
-        while len(trail) > mark:
-            var = trail.pop()
-            lit = var if value.pop(var) else -var
-            for n in occurrences.get(lit, ()):
-                if n in satisfied:
-                    unassigned[n] += 1
-                    satisfied[n] -= 1
-                    if satisfied[n] == 0:
-                        covered -= 1
-            for n in occurrences.get(-lit, ()):
-                if n in satisfied:
-                    unassigned[n] += 1
+        for var in trail[mark:]:
+            del value[var]
+        del trail[mark:]
+
+    def open_clause_left() -> bool:
+        """Whether some active clause has no true literal yet."""
+        for n in active:
+            for lit in clauses[n]:
+                if get(abs(lit)) == (lit > 0):
+                    break
+            else:
+                return True
+        return False
 
     satisfiable = propagate(list(problem.assumptions))
     # Decision frames: [variable, trail mark, already flipped to True].
     stack: list[list] = []
-    while satisfiable and covered < target:
+    while satisfiable and open_clause_left():
         if not variables:
             # Assumptions stay assigned, so only clause atoms can branch.
             variables = sorted({abs(c) for n in active for c in clauses[n]})
@@ -222,8 +216,7 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
             if propagate([lit]):
                 break
             while stack and stack[-1][2]:
-                undo(stack[-1][1])
-                stack.pop()
+                undo(stack.pop()[1])
             if not stack:
                 satisfiable = False
                 break

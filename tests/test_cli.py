@@ -524,6 +524,18 @@ def test_repl_query_matches_batch_document(capsys, permit_file):
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == batch
 
 
+def test_repl_error_document_differs_from_batch_only_in_its_input(
+    capsys, permit_file
+):
+    """An error document is the one difference between the two surfaces: a
+    batch error reports no input, the session's reports the line's text."""
+    _, batch, _ = run_json(capsys, "infer", permit_file, "q(")
+    doc = _session().handle("infer q(")
+    assert (batch["input"], doc["input"]) == ({}, {"text": "q("})
+    assert batch["diagnostics"]["error"] == "FormulaSyntaxError"
+    assert {**doc, "input": {}} == batch
+
+
 @pytest.mark.parametrize(
     "spaced, tabbed",
     [("infer perm", "infer\tperm"), ("retract-hyp 0", "retract-hyp \t 0")],

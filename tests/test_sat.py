@@ -262,16 +262,21 @@ def test_store_searches_match_one_shot_clause_sets(seed, monkeypatch):
 
 
 def _random_problem(rng):
-    """A store of random clauses, a random part of it active, assumptions."""
-    atoms = rng.randint(1, 8)
+    """A store of random clauses, a random part of it active, assumptions.
+
+    Up to 16 variables and 45 clauses of 1 to 5 literals, over distinct
+    variables as the clause builder writes them, so that some searches
+    backtrack deep; up to 4 assumptions, which may contradict each other.
+    """
+    atoms = rng.randint(1, 16)
     store = sat.ClauseStore()
-    for _ in range(rng.randint(0, 14)):
-        chosen = rng.sample(range(1, atoms + 1), rng.randint(1, min(3, atoms)))
+    for _ in range(rng.randint(0, 45)):
+        chosen = rng.sample(range(1, atoms + 1), rng.randint(1, min(5, atoms)))
         store.add(v if rng.random() < 0.5 else -v for v in chosen)
     active = {n for n in range(len(store.clauses)) if rng.random() < 0.7}
     assumptions = tuple(
-        v if rng.random() < 0.5 else -v
-        for v in rng.sample(range(1, atoms + 1), rng.randint(0, min(3, atoms)))
+        rng.choice((v, -v))
+        for v in rng.choices(range(1, atoms + 1), k=rng.randint(0, 4))
     )
     return sat.Problem(store, assumptions, active)
 
@@ -280,24 +285,29 @@ def _random_problem(rng):
 def test_search_repeats_the_reference_search(seed):
     """`_search` gives the reference's answer, decisions and assignment.
 
-    Random stores, active parts, assumptions, spent decisions and caps;
-    each search must leave the store's `spent` where the reference leaves
-    it, and run out of budget at the same cap.
+    Random stores, active parts, assumptions and spent decisions, each
+    searched under a small cap and under the default one; each search must
+    leave the store's `spent` where the reference leaves it, and run out of
+    budget at the same cap.  Each seed meets a problem the reference needs
+    100 decisions or more for, so deep backtracking is covered too.
     """
     rng = random.Random(seed)
-    limited = 0
-    for _ in range(150):
+    limited = deepest = 0
+    for _ in range(250):
         problem = _random_problem(rng)
         start = rng.randint(0, 3)
-        cap = rng.choice([0, 1, 2, 3, 5, 8, sat.DEFAULT_MAX_DECISIONS])
-        outcomes = []
-        for search in (reference_search, sat._search):
-            problem.store.spent = start
-            try:
-                outcomes.append(search(problem, cap))
-            except ResourceLimit as err:
-                outcomes.append(str(err))
-            outcomes.append(problem.store.spent)
-        assert outcomes[:2] == outcomes[2:]
-        limited += isinstance(outcomes[0], str)
-    assert 0 < limited < 150
+        small = rng.choice([0, 1, 2, 3, 5, 8, 30])
+        for cap in (small, sat.DEFAULT_MAX_DECISIONS):
+            outcomes = []
+            for search in (reference_search, sat._search):
+                problem.store.spent = start
+                try:
+                    outcomes.append(search(problem, cap))
+                except ResourceLimit as err:
+                    outcomes.append(str(err))
+                outcomes.append(problem.store.spent)
+            assert outcomes[:2] == outcomes[2:]
+            limited += isinstance(outcomes[0], str)
+        deepest = max(deepest, outcomes[1] - start)
+    assert 0 < limited < 250
+    assert deepest >= 100

@@ -11,7 +11,8 @@ states the row's old and new counts.
 
 The sizes are small enough to run in tier-1, and large enough that each
 row's growth shows.  Run as a script, the module prints every row with its
-growth between sizes:
+growth between sizes, and the wall time of each size's work: the best of
+three runs with nothing counting, which is printed and never pinned:
 
     PYTHONPATH=src python tests/test_work_ledger.py
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import time
 
 import pytest
 
@@ -136,11 +138,22 @@ def test_each_exponential_path_does_the_pinned_work(row, monkeypatch, solves):
     assert measure(row, monkeypatch, solves) == LEDGER[row]
 
 
+def wall_time(row, size, runs=3) -> float:
+    """The best of `runs` timings of the row's work at one size, unwrapped."""
+    best = float("inf")
+    for _ in range(runs):
+        work = ROWS[row](size)
+        start = time.perf_counter()
+        work()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main() -> int:
     from conftest import record_solves
 
     print(f"{'row':16} {'size':>4} {'searches':>15} {'questions':>15} "
-          f"{'draws':>15}")
+          f"{'draws':>15} {'seconds':>8}")
     for row in LEDGER:
         with pytest.MonkeyPatch.context() as monkeypatch:
             measured = measure(row, monkeypatch, record_solves(monkeypatch))
@@ -152,6 +165,7 @@ def main() -> int:
                 if previous and previous[i]:
                     growth = f"x{count / previous[i]:.2f}"
                 cells.append(f"{count:>8,} {growth:>6}")
+            cells.append(f"{wall_time(row, size):>8.3f}")
             print(f"{row:16} {size:>4} " + " ".join(cells))
             previous = counts
     return 0
