@@ -308,6 +308,6 @@ def test_search_repeats_the_reference_search(seed):
                 outcomes.append(problem.store.spent)
             assert outcomes[:2] == outcomes[2:]
             limited += isinstance(outcomes[0], str)
-        deepest = max(deepest, outcomes[1] - start)
+        deepest = max(deepest, outcomes[0][1])  # the default cap's decisions
     assert 0 < limited < 250
     assert deepest >= 100

@@ -138,10 +138,10 @@ def test_each_exponential_path_does_the_pinned_work(row, monkeypatch, solves):
     assert measure(row, monkeypatch, solves) == LEDGER[row]
 
 
-def wall_time(row, size, runs=3) -> float:
-    """The best of `runs` timings of the row's work at one size, unwrapped."""
+def wall_time(row, size) -> float:
+    """The best of three timings of the row's work at one size, unwrapped."""
     best = float("inf")
-    for _ in range(runs):
+    for _ in range(3):
         work = ROWS[row](size)
         start = time.perf_counter()
         work()
