@@ -9,8 +9,10 @@ so equal inputs produce byte-identical output.
 
 A document costs what its text costs.  The handler that builds it prints
 each formula it shows once, and `_json` writes it as the exact bytes of
-`json.dumps(doc, sort_keys=True, indent=2)`, but encodes its strings and
-ints with json's C encoders instead of json's pure-Python indenting one.
+`json.dumps(doc, sort_keys=True, indent=2)` without importing `json`: it
+escapes strings with the C function json itself uses
+(`_json.encode_basestring_ascii`) and writes numbers, booleans and None as
+json does.
 
 Exit codes come from `_EXIT_CODES`: 0 success; 3 the axiom set itself is
 inconsistent; 4 the decision budget was exceeded; 5 a query formula grounds
@@ -28,20 +30,23 @@ counterpart would, under a decision budget too.  The one exception is an
 error document: the session's carries the command's text as its input,
 where the batch one carries an empty input.  User errors never end it.
 
-The argument parser is built on the first `main` call, not at import, and
-shared by every later `main` call in the process.  Parsing leaves it
-unchanged, and argparse reads the terminal width and the output streams
-afresh each time it writes help, usage or an error.
+A command line is parsed by its verb's own parser, the one the whole
+parser nests, so help and errors read the same.  The whole parser is built
+only for a line that names no command line verb, and for one with
+arguments left over, which argparse reports with the top-level usage.
+Each parser is built on its first use, not at import, and shared by every
+later `main` call in the process.  Parsing leaves a parser unchanged, and
+argparse reads the terminal width and the output streams afresh each time
+it writes help, usage or an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from _json import encode_basestring_ascii
 from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
 from . import kb as kbmod
@@ -192,8 +197,23 @@ def _human(doc: dict) -> list[str]:
     return _VERBS[doc["command"]].render(doc)
 
 
+def _scalar_text(value) -> str:
+    """`json.dumps(value)` for a scalar whose type is not a key of
+    `_SCALAR_TEXT`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 # How a scalar whose type is exactly the key is written; every other scalar
-# goes to `json.dumps` (`int.__repr__` would write True as 1).
+# goes to `_scalar_text` (`int.__repr__` would write True as 1).
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
@@ -201,8 +221,8 @@ def _json(value, indent: str = "") -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for a dict, list or tuple
     with string keys, starting `indent` deep.
 
-    Each run of like-typed scalars is encoded at once by json's C encoders,
-    and each nested container is one call.
+    Each run of like-typed scalars is written by one `map`, and each nested
+    container is one call.
     """
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
@@ -213,7 +233,7 @@ def _json(value, indent: str = "") -> str:
         if issubclass(kind, (dict, list, tuple)):
             texts += map(_json, run, repeat(inner))
         else:
-            texts += map(_SCALAR_TEXT.get(kind, json.dumps), run)
+            texts += map(_SCALAR_TEXT.get(kind, _scalar_text), run)
     if keys is None:
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
     items = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
@@ -817,6 +837,22 @@ _VERBS = {
 }
 
 
+def _add_arguments(parser: argparse.ArgumentParser, verb: _Verb):
+    """Give a command line verb's parser its options and arguments."""
+    file_arg = (_FILE,) if verb.query is not None else ()
+    for name, options in _COMMON_OPTIONS + file_arg + verb.arguments:
+        parser.add_argument(name, **options)
+    return parser
+
+
+@functools.cache
+def _verb_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command line verb, as `_build_parser` nests it."""
+    parser = argparse.ArgumentParser(prog=f"lri {command}")
+    parser.set_defaults(command=command)
+    return _add_arguments(parser, _VERBS[command])
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -825,12 +861,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, verb in _VERBS.items():
-        if verb.help is None:
-            continue
-        p = sub.add_parser(command, help=verb.help)
-        file_arg = (_FILE,) if verb.query is not None else ()
-        for name, options in _COMMON_OPTIONS + file_arg + verb.arguments:
-            p.add_argument(name, **options)
+        if verb.help is not None:
+            _add_arguments(sub.add_parser(command, help=verb.help), verb)
     return parser
 
 
@@ -889,10 +921,25 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line as `_build_parser()` does, but build only the
+    named verb's parser unless the line needs the whole one.
+
+    argparse reports what a verb's parser leaves over with the top-level
+    usage, so a line with leftover arguments goes to the whole parser.
+    """
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is not None and verb.help is not None:
+        args, extras = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_insert_separator(argv))
+    args = _parse(_insert_separator(argv))
     code = 0
     try:
         doc = _VERBS[args.command].run(args)

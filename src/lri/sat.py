@@ -13,9 +13,11 @@ on the unassigned variable with the lowest number, try False before True,
 and propagate unit clauses exhaustively between decisions, reading each
 active clause a literal falsifies rather than keeping counts.  The
 assumptions are propagated before the first decision, as unit clauses would
-be.  There is deliberately no pure-literal rule and no learned-clause
-machinery; at the problem sizes this package targets, a predictable search
-beats a clever one.
+be.  A satisfiable search ends on a scan that finds a true literal in
+every active clause, and that scan is its model's check.  There is
+deliberately no pure-literal rule and no learned-clause machinery; at the
+problem sizes this package targets, a predictable search beats a clever
+one.
 
 Every assignment attempt at a branch point counts as one decision against a
 budget (10 million by default); exceeding the budget raises ResourceLimit
@@ -130,10 +132,12 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
     turns false, backtracking pops the trail, and the search ends once no
     active clause is left without a true literal.  Most searches propagate
     a handful of clauses, so the search sets up no more than it must:
-    propagation walks a list as its queue, a decision is counted where it
-    is made, and the model is checked clause by clause against the
-    assignment.  `reference_search` in `tests/bruteforce.py` is the same
-    search written plainly, with a counter per clause.
+    propagation walks a list as its queue, and a decision is counted where
+    it is made.  The last scan for an open clause is the model's check: it
+    has found a true literal in every active clause, so only the
+    assumptions are checked again.  `reference_search` in
+    `tests/bruteforce.py` is the same search written plainly, with a
+    counter per clause.
     """
     store = problem.store
     clauses = store.clauses
@@ -204,7 +208,8 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
             variables = sorted({abs(c) for n in active for c in clauses[n]})
         branch_var = next((v for v in variables if v not in value), None)
         if branch_var is None:
-            break
+            # every atom is assigned yet a clause is open: a missed conflict
+            raise RuntimeError("internal error: model fails verification")
         stack.append([branch_var, len(trail), False])
         lit = -branch_var
         while True:
@@ -229,11 +234,5 @@ def _search(problem: Problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
     if satisfiable:
         for lit in problem.assumptions:
             if get(abs(lit), False) != (lit > 0):
-                raise RuntimeError("internal error: model fails verification")
-        for n in active:
-            for lit in clauses[n]:
-                if get(abs(lit), False) == (lit > 0):
-                    break
-            else:
                 raise RuntimeError("internal error: model fails verification")
     return satisfiable, decisions, value

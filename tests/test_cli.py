@@ -415,11 +415,14 @@ def test_witness_needs_two_components(capsys):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# one parser per verb and process
 
 
 def test_later_commands_build_no_parser(capsys, monkeypatch, permit_file):
-    run_json(capsys, "check", permit_file)
+    later = [("check", permit_file), ("positions", permit_file),
+             ("compat", permit_file, "0")]
+    for argv in later:
+        run_json(capsys, *argv)
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -428,8 +431,8 @@ def test_later_commands_build_no_parser(capsys, monkeypatch, permit_file):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    run_json(capsys, "positions", permit_file)
-    run_json(capsys, "compat", permit_file, "0")
+    for argv in later:
+        run_json(capsys, *argv)
     assert built == []
 
 
@@ -498,6 +501,66 @@ def test_usage_error_leaves_the_parser_usable(capsys, permit_file):
     assert "invalid int value: 'x'" in capsys.readouterr().err
     assert run_cli(capsys, "compat", permit_file, "0", "1") == expected
     assert json.loads(expected[1])["input"] == {"indices": [0, 1]}
+
+
+# The operands each command line verb parses with; no file is opened.
+VERB_OPERANDS = {
+    "check": ["base.lri"],
+    "positions": ["base.lri"],
+    "infer": ["base.lri", "q"],
+    "justify": ["base.lri", "q"],
+    "context": ["base.lri"],
+    "variety": ["base.lri"],
+    "compat": ["base.lri", "0"],
+    "witness": ["2"],
+    "partition": ["base.lri"],
+    "repl": ["base.lri"],
+}
+ROUTED = (
+    [["-h"], [], ["--help", "check"], ["assert-ax", "q"], ["chec", "base.lri"]]
+    + [
+        [verb, *tail]
+        for verb, operands in VERB_OPERANDS.items()
+        for tail in (
+            ["-h"], [], [*operands, "extra"], ["--bogus"],
+            ["--max-decisions", "-1"], ["--pret"],
+        )
+    ]
+    + [["compat", "base.lri", "x"], ["witness", "x"]]
+)
+
+
+def test_every_verb_has_routed_operands():
+    verbs = {name for name, verb in cli._VERBS.items() if verb.help}
+    assert set(VERB_OPERANDS) == verbs
+
+
+def _parsed(capsys, parse, argv):
+    """What parsing `argv` returned or exited with, and what it printed."""
+    try:
+        outcome = parse(argv)
+    except SystemExit as stop:
+        outcome = stop.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", ROUTED, ids=lambda argv: " ".join(["lri", *argv])
+)
+def test_main_parses_as_the_whole_parser_does(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+    monkeypatch.setattr(cli._Verb, "run", lambda verb, args: parsed.append(args))
+
+    def through_main(argv):
+        assert cli.main(argv) == 0
+        return vars(parsed.pop())
+
+    def whole(argv):
+        return vars(cli._build_parser().parse_args(cli._insert_separator(argv)))
+
+    assert _parsed(capsys, through_main, argv) == _parsed(capsys, whole, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_a_command_leaves_no_cyclic_garbage(verb, base, tmp_path):
         "dot": tmp_path / "graph.dot",
     }
     argv = [verb] + [arg.format(**names) for arg in VERB_ARGUMENTS[verb]]
-    cli._build_parser()  # built once per process, with argparse's own cycles
+    cli._verb_parser(verb)  # built once per process, with argparse's own cycles
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with _collector_off():

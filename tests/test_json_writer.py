@@ -4,6 +4,7 @@
 nowhere else: the command line writes every document with `cli._json`.
 """
 
+import enum
 import json
 import random
 
@@ -29,6 +30,19 @@ SCALARS = (
     0.5, -0.0, 0.0, 1e300, -1e-300, 3.141592653589793,
     float("inf"), float("-inf"), float("nan"),
 )
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    def __repr__(self):
+        return "not the JSON text"
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
 
 
 def _text(rng: random.Random) -> str:
@@ -85,7 +99,17 @@ def test_random_documents_match_json_dumps():
         (1, True, None, 0.5, "1", -0.0, float("nan"), 2**64),
         {"é": 1, "\"q\\": "\U0001f600", "\n": None, "A": float("inf")},
         {"b": 1, "a": [1, 2, "x", "y", 3], "B": {"z": True, "y": [[]]}},
+        [_Text("é"), _Real(0.25), _Real("nan"), _Real("-inf"), _Count.ONE],
     ],
 )
 def test_edge_documents_match_json_dumps(doc):
     assert _json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("scalar", [b"x", 1j, {1}, object()])
+def test_other_scalars_are_refused_as_json_dumps_refuses_them(scalar):
+    with pytest.raises(TypeError) as expected:
+        json.dumps([scalar], sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as refused:
+        _json({"a": [0, scalar]})
+    assert str(refused.value) == str(expected.value)
