@@ -25,10 +25,11 @@ negative `--max-decisions` among them).
 The interactive session (`repl`) reads one command per line.  An edit
 replaces the rule base and echoes the recomputed hypothesis indices, the
 queries between edits share one domain, and each query is numbered and
-searched as on a fresh load, so it produces exactly the document its batch
-counterpart would, under a decision budget too.  The one exception is an
-error document: the session's carries the command's text as its input,
-where the batch one carries an empty input.  User errors never end it.
+searched as on a fresh load, and declares nothing in the base's signature,
+so it produces exactly the document its batch counterpart would, under a
+decision budget too.  The one exception is an error document: the session's
+carries the command's text as its input, where the batch one carries an
+empty input.  User errors never end it.
 
 A command line is parsed by its verb's own parser, the one the whole
 parser nests, so help and errors read the same.  The whole parser is built
@@ -538,7 +539,10 @@ class ReplSession:
     it by the first query or `save` that needs it.  An edit replaces the
     base and drops the domain, but an accepted axiom keeps the one built to
     check it.  Refusals and user errors produce error documents and leave
-    the session as it was.
+    the session as it was.  A command that does not replace the base (a
+    query, a `save`, a refused edit) declares nothing: the names its text
+    brought into the signature are forgotten when it ends, so every later
+    command grounds and checks arities as the batch command would.
     """
 
     def __init__(
@@ -576,10 +580,14 @@ class ReplSession:
             return {}
         word = stripped.split(None, 1)[0]
         rest = stripped[len(word):].lstrip()
+        base, mark = self._base, self._base.signature.mark()
         try:
             return self._dispatch(word, rest)
         except _USER_ERRORS as err:
             return _error_doc(word, {"text": rest}, err)
+        finally:
+            if self._base is base:
+                base.signature.rollback(mark)
 
     def _dispatch(self, word: str, rest: str) -> Optional[dict]:
         verb = _VERBS.get(word)
@@ -876,32 +884,29 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
     plus argparse's own help; as in argparse, a long option may be written
     as any prefix that names only one of them.
 
-    A known option (with its value) that follows the verb's first
-    positional is moved ahead of the positionals: argparse gives a
-    `nargs="*"` positional nothing when an option comes between it and
-    the positional before it, so `context F --pretty q` would refuse `q`.
+    One pass sorts the tokens into three lists, kept in order: the verb's
+    word with the options before the first positional, the known options
+    (with their values) after it, and the positionals.  They are returned
+    in that order, so no option stands between two positionals: argparse
+    gives a `nargs="*"` positional nothing when an option comes between it
+    and the positional before it, so `context F --pretty q` would refuse
+    `q`.  The scan stops at `--`, at a valued option with no value left, or
+    at an unknown dash token, which gets `--` put before it; the tokens
+    from there on follow the positionals as they are.
     """
-    out = list(argv)
-    verb = _VERBS.get(next((t for t in out if not t.startswith("-")), ""))
-    options = [
-        (name, kw)
-        for name, kw in [*_COMMON_OPTIONS, *(verb.arguments if verb else ())]
-        if name.startswith("-")
-    ]
+    verb = _VERBS.get(next((t for t in argv if not t.startswith("-")), ""))
+    options = [*_COMMON_OPTIONS, *(verb.arguments if verb else ())]
     flags = {"-h", "--help"}
     flags.update(name for name, kw in options if kw.get("action") == "store_true")
-    valued = {name for name, _ in options} - flags
+    valued = {name for name, _ in options if name.startswith("-")} - flags
     known = flags | valued
-    # Where the verb and the tokens after it that are not options stand;
-    # words[1], the first positional, is where a later option goes.
-    i, words = 0, []
-    while i < len(out):
-        token = out[i]
-        if token == "--":
-            break
+    lead, moved, positionals, separator = [], [], [], []
+    i, word = 0, False
+    while i < len(argv) and argv[i] != "--":
+        token = argv[i]
         if not token.startswith("-"):
-            words.append(i)
-            i += 1
+            (positionals if word else lead).append(token)
+            i, word = i + 1, True
             continue
         name, value, _ = token.partition("=")
         if name not in known and name.startswith("--"):
@@ -912,13 +917,13 @@ def _insert_separator(argv: Sequence[str]) -> list[str]:
         elif name in valued:
             step = 1 if value else 2
         else:
-            out.insert(i, "--")
+            separator = ["--"]
             break
-        if len(words) > 1 and i + step <= len(out):
-            out[words[1]:i + step] = out[i:i + step] + out[words[1]:i]
-            words[1] += step
+        if i + step > len(argv):
+            break
+        (moved if positionals else lead).extend(argv[i:i + step])
         i += step
-    return out
+    return lead + moved + positionals + separator + list(argv[i:])
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

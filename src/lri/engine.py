@@ -45,7 +45,7 @@ and only the clauses those literals reach take part.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from . import sat
 from .cnf import CnfBuilder
@@ -197,7 +197,7 @@ class DomainOfRules:
         )
 
     def _parts_consistent(
-        self, chosen: frozenset[int], skipped: frozenset[int] = frozenset()
+        self, chosen: Iterable[int], skipped: frozenset[int] = frozenset()
     ) -> bool:
         """Whether each island's part of the selection fits its axioms.
 
@@ -304,7 +304,7 @@ class DomainOfRules:
         return self._touched
 
     def selection_entails(
-        self, chosen: frozenset[int], conclusion: Formula
+        self, chosen: Collection[int], conclusion: Formula
     ) -> bool:
         """Whether axioms plus the selection classically entail conclusion.
 

@@ -10,17 +10,17 @@ ask structural questions about the family: whether components overlap
 labeling (discretization).
 
 Every such question is a consistency or entailment question about the
-components' axiom sets, so a variety is held as one domain of rules and,
-per component, a selection of that domain's hypotheses: the component's
-axioms are the domain's axioms plus the selected hypotheses.  The variety
-of a domain is that domain itself, with the selections of its maximal
-positions, so nothing is built, checked or translated a second time.  A
-variety given as a list of calculi gets an axiom-free domain whose
-hypotheses are the distinct component formulas, with the default decision
-budget.  Upper levels, compatibility and depth are asked of the domain,
-island by island, with its consistency memo, its memo of the latest
-conclusion's refutations, and the domain's own budget for each question:
-the budget a domain is built with is the one its variety spends.
+components' axiom sets, so a variety is held as one domain of rules and, per
+component, an ordered selection of that domain's hypotheses.  A component's
+axioms are derived, not stored: the domain's axioms, then the hypotheses its
+selection lists.  The variety of a domain is that domain itself, with the
+selections of its maximal positions, so nothing is built, checked or
+translated a second time.  A variety given as a list of calculi gets an
+axiom-free domain whose hypotheses are the distinct component formulas, with
+the default decision budget.  Upper levels, compatibility and depth are
+asked of the domain, island by island, with its consistency memo, its memo
+of the latest conclusion's refutations, and the domain's own budget for each
+question: the budget a domain is built with is the one its variety spends.
 
 Theorem sets are infinite, so theorem-level comparisons are relativized to a
 finite probe universe of ground formulas.  Discretization labels are
@@ -187,18 +187,20 @@ class Variety:
     Every component is included as it is, with an optional discretization
     label; a calculus over other names enters through `apply_renaming`.
 
-    A variety is one domain of rules plus, per component, a selection of
-    its hypotheses: component i's axioms are the domain's axioms and the
-    hypotheses selected by `_selections[i]`.  Built from calculi, the
-    domain is axiom-free and its hypotheses are the distinct component
-    formulas, in first-occurrence order; `variety_of` instead holds the
-    domain it is given, with its positions' selections.  Either way the
-    variety keeps each component's axioms and makes the calculi from them
-    when `components` is first read.  Every operation below reads the
-    domain and the selections alone, so it never asks which kind of variety
-    it has: a component has `len(domain.axioms)` axioms more than its
-    selection, and two components share an axiom exactly when the domain
-    has axioms or their selections intersect.
+    A variety is one domain of rules plus, per component, an ordered
+    selection of its hypotheses: `_selections[i]` is a tuple of hypothesis
+    indices, and component i's axioms are the domain's axioms followed by
+    the hypotheses it lists (`renamed_axioms`).  Built from calculi, the
+    domain is axiom-free, its hypotheses are the distinct component
+    formulas in first-occurrence order, and each selection follows its
+    calculus's axiom order; `variety_of` instead holds the domain it is
+    given, with its positions' selections in ascending order.  The calculi
+    are made from the derived axioms when `components` is first read.
+    Every operation below reads the domain and the selections alone, so it
+    never asks which kind of variety it has: a component has
+    `len(domain.axioms)` axioms more than its selection, and two components
+    share an axiom exactly when the domain has axioms or their selections
+    intersect.
     """
 
     def __init__(
@@ -217,20 +219,18 @@ class Variety:
             (), dict.fromkeys(f for a in axioms for f in a), signature
         )
         index = {f: i for i, f in enumerate(domain.hypotheses)}
-        selections = tuple(frozenset(index[f] for f in a) for a in axioms)
-        self._hold(domain, selections, axioms, labels)
+        selections = tuple(tuple(index[f] for f in a) for a in axioms)
+        self._hold(domain, selections, labels)
 
     def _hold(
         self,
         domain: DomainOfRules,
-        selections: tuple[frozenset[int], ...],
-        axioms: tuple[tuple[Formula, ...], ...],
+        selections: tuple[tuple[int, ...], ...],
         labels: tuple[Label, ...],
     ) -> "Variety":
-        """Keep the components as selections of the domain's hypotheses."""
+        """Keep each component as an ordered selection of hypotheses."""
         self._domain = domain
         self._selections = selections
-        self._axioms = axioms
         self.signature = domain.signature
         self.labels = labels
         return self
@@ -238,16 +238,20 @@ class Variety:
     @cached_property
     def components(self) -> tuple[Calculus, ...]:
         """The calculi, made from the components' axioms on first read."""
-        return tuple(
-            Calculus(axioms, self.signature) for axioms in self._axioms
-        )
+        made = map(self.renamed_axioms, range(len(self)))
+        return tuple(Calculus(axioms, self.signature) for axioms in made)
 
     def __len__(self) -> int:
         return len(self._selections)
 
     def renamed_axioms(self, i: int) -> tuple[Formula, ...]:
-        """Component i's axioms, in the shared language."""
-        return self._axioms[i]
+        """Component i's axioms, in the shared language.
+
+        They are the domain's axioms, then the hypotheses its selection lists.
+        """
+        domain = self._domain
+        selected = (domain.hypotheses[k] for k in self._selections[i])
+        return domain.axioms + tuple(selected)
 
 
 def variety_of(domain: DomainOfRules) -> Variety:
@@ -255,13 +259,13 @@ def variety_of(domain: DomainOfRules) -> Variety:
 
     One component per maximal position, in the positions' order; component
     axioms are the position's formulas (shared axioms included), no labels.
-    The variety holds the domain itself, with the positions' selections.
+    The variety holds the domain itself, with each position's selection in
+    ascending order, which is the order of its formulas.
     """
     positions = maximal_positions(domain)
     return Variety.__new__(Variety)._hold(
         domain,
-        tuple(position.chosen for position in positions),
-        tuple(position.formulas for position in positions),
+        tuple(tuple(sorted(position.chosen)) for position in positions),
         (None,) * len(positions),
     )
 
@@ -284,7 +288,7 @@ def upper_level(v: Variety, probe: Iterable[Formula]) -> tuple[Formula, ...]:
 
 def _overlaps(v: Variety) -> Iterator[bool]:
     """Whether each pair of components shares a label-qualified axiom."""
-    labels, chosen = v.labels, v._selections
+    labels, chosen = v.labels, [frozenset(s) for s in v._selections]
     shared = bool(v._domain.axioms)
     for i, j in itertools.combinations(range(len(v)), 2):
         yield labels[i] == labels[j] and (
@@ -336,7 +340,7 @@ def discretize(v: Variety) -> Variety:
     those verdicts are unchanged.  It holds the same domain and selections.
     """
     return Variety.__new__(Variety)._hold(
-        v._domain, v._selections, v._axioms, tuple(range(len(v)))
+        v._domain, v._selections, tuple(range(len(v)))
     )
 
 
@@ -377,7 +381,7 @@ def check_variety_depth(
     n = len(v)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}, got {k}")
-    domain, selections = v._domain, v._selections
+    domain, selections = v._domain, [frozenset(s) for s in v._selections]
     failure: Optional[tuple[tuple[int, ...], Formula]] = None
     for phi in ProbeUniverse(probe).formulas:
         holding = [
@@ -484,7 +488,7 @@ def overlap_dot(v: Variety) -> str:
     Nodes are components; an edge appears where two components' (plain)
     axiom sets intersect, labeled with the intersection size.
     """
-    selections = v._selections
+    selections = [frozenset(s) for s in v._selections]
     shared_axioms = len(v._domain.axioms)
     lines = ["graph components {"]
     for i, selection in enumerate(selections):

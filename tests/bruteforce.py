@@ -517,7 +517,7 @@ def reference_depth(
     own domain, so this checks the walk, not the answers: varieties too big
     for truth tables can be compared with it.
     """
-    selections = v._selections
+    selections = [frozenset(s) for s in v._selections]
     domain = v._domain
     failure: Optional[tuple[tuple[int, ...], Formula]] = None
     for phi in ProbeUniverse(probe).formulas:

@@ -563,6 +563,45 @@ def test_main_parses_as_the_whole_parser_does(capsys, monkeypatch, argv):
     assert _parsed(capsys, through_main, argv) == _parsed(capsys, whole, argv)
 
 
+@pytest.mark.parametrize(
+    "argv, separated",
+    [
+        # an option's value is not the verb's word
+        (
+            ["--max-decisions", "context", "context", "--pretty"],
+            ["--max-decisions", "context", "context", "--pretty"],
+        ),
+        # a valued option with no value left stays where it is
+        (
+            ["infer", "F", "q", "--max-decisions"],
+            ["infer", "F", "q", "--max-decisions"],
+        ),
+        # nothing after `--` is moved
+        (
+            ["context", "F", "q", "--", "--pretty", "-p"],
+            ["context", "F", "q", "--", "--pretty", "-p"],
+        ),
+        # a prefix of one known option is that option
+        (
+            ["context", "F", "q", "--pre", "-p"],
+            ["context", "--pre", "F", "q", "--", "-p"],
+        ),
+        # an `=` value travels with its option
+        (
+            ["context", "F", "q", "--max-decisions=3", "r", "--pretty", "-s"],
+            ["context", "--max-decisions=3", "--pretty", "F", "q", "r"]
+            + ["--", "-s"],
+        ),
+    ],
+    ids=["option-value", "valued-last", "after-separator", "prefix", "equals"],
+)
+def test_separator_orders_options_before_positionals(argv, separated):
+    """Known options after the first positional move ahead of the
+    positionals, each with its value; `--` goes before an unknown dash
+    token, and nothing from `--` on moves."""
+    assert cli._insert_separator(argv) == separated
+
+
 # ---------------------------------------------------------------------------
 # interactive session
 
@@ -710,6 +749,52 @@ def test_repl_refused_query_leaves_an_open_base_as_it_was(tmp_path):
     session = ReplSession(load(str(ROOT / "tests/data/golden/permit.lri")))
     assert session.handle("infer newp(a) & (")["verdict"] == "error"
     assert session.handle("infer newp")["verdict"] == "not-reasonable"
+
+
+OPEN_BASE = "hypotheses:\n    p(a).\n    p(b) -> s.\n"
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        ("infer q(c)", "infer p(X)"),
+        ("infer p(X) & q(c)", "infer p(X)"),
+        ("assert-ax zz & -zz", "infer zz(a)"),
+    ],
+    ids=["query", "refused-query", "refused-axiom"],
+)
+def test_repl_command_that_changes_nothing_declares_nothing(
+    capsys, tmp_path, first, then
+):
+    """A query or a refused edit leaves the signature as it found it: the
+    next command answers as the batch command on the base does, and `save`
+    writes the constants line it wrote before."""
+    path = tmp_path / "open.lri"
+    path.write_text(OPEN_BASE, encoding="utf-8")
+    _, batch, _ = run_json(capsys, "infer", str(path), then.split(None, 1)[1])
+    session = ReplSession(load(str(path)))
+    before, after = tmp_path / "before.lri", tmp_path / "after.lri"
+    session.handle(f"save {before}")
+    session.handle(first)
+    session.handle(f"save {after}")
+    doc = session.handle(then)
+    if doc["verdict"] == "error":
+        doc = {**doc, "input": {}}
+    assert doc == batch
+    for saved in (before, after):
+        first_line = saved.read_text(encoding="utf-8").splitlines()[0]
+        assert first_line == "constants: a b"
+
+
+def test_repl_accepted_edit_keeps_its_names(tmp_path):
+    session = ReplSession(loads(OPEN_BASE))
+    assert session.handle("assert-hyp r(c)")["verdict"]["accepted"] is True
+    doc = session.handle("infer p(X)")
+    assert "grounds to 3 formulas" in doc["diagnostics"]["message"]
+    target = tmp_path / "out.lri"
+    session.handle(f"save {target}")
+    first_line = target.read_text(encoding="utf-8").splitlines()[0]
+    assert first_line == "constants: a b c"
 
 
 @pytest.mark.parametrize("line", ["positions foo", "quit now"])

@@ -13,6 +13,7 @@ import pytest
 import lri.engine
 from bruteforce import DomainOracle, random_formula, selection_mask
 from bruteforce import glued_corpus as _corpus
+from bruteforce import reference_depth
 from conftest import context_pairs
 from families import paired_exceptions
 from lri import (
@@ -24,7 +25,10 @@ from lri import (
     Or,
     ProbeUniverse,
     ResourceLimit,
+    check_variety_depth,
+    discretize,
     in_reasonable_theory,
+    is_compatible,
     justifications,
     maximal_positions,
     new_domain,
@@ -267,3 +271,34 @@ def test_domain_upper_level_searches_no_more_than_reasonable_inference(
         )
         assert level == expected, name
         assert asked_level <= len(solves), (name, asked_level, len(solves))
+
+
+def test_a_domains_variety_reads_no_position_formulas(monkeypatch):
+    """A domain's variety holds its positions' selections, not their
+    formulas: building it, discretizing it and asking it every variety
+    question reads no `Position.formulas`, and its components' axioms are
+    still their positions' formulas.  Checked on paired exceptions, k = 3.
+    """
+    axioms, hypotheses, *_ = paired_exceptions(3)
+    domain = new_domain(axioms, hypotheses)
+    formulas = [p.formulas for p in maximal_positions(domain)]
+
+    def unread(position):
+        raise AssertionError("Position.formulas was read")
+
+    monkeypatch.setattr(lri.engine.Position, "formulas", property(unread))
+    v = variety_of(domain)
+    d = discretize(v)
+    q0, q1 = Atom("q0"), Atom("q1")
+    probe = [q0, Not(q1), Atom("r"), Or(q0, q1)]
+    assert upper_level(d, probe) == (q0, Not(q1), Or(q0, q1))
+    # Distinct components differ in some island, whose two hypotheses clash.
+    assert is_compatible(v, [3]) and not is_compatible(v, [0, 1])
+    # Components 2 and 4 select hypotheses (0, 3, 4) and (1, 2, 4): each
+    # holds q0 | q1, and their common hypothesis 4 does not.
+    depth = check_variety_depth(d, 2, probe)
+    assert depth == reference_depth(d, 2, probe)
+    assert (depth.failing_components, depth.counterexample) == (
+        (2, 4), Or(q0, q1)
+    )
+    assert [v.renamed_axioms(i) for i in range(len(v))] == formulas
