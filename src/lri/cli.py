@@ -58,6 +58,7 @@ from .engine import (
     maximal_consistent_contexts,
     maximal_positions,
     minimal_inconsistent_subset,
+    position_count,
     reasonably_infers,
 )
 from .errors import InconsistentAxioms, LriError, ResourceLimit
@@ -73,10 +74,6 @@ from .variety import (
     variety_of,
     witness_variety,
 )
-
-class _MultipleGroundings(LriError):
-    """A batch query grounded to more than one formula instance."""
-
 
 class _InvalidComponents(LriError):
     """Component indices passed to compat do not select a valid subset."""
@@ -102,7 +99,7 @@ def _as_lri_error(err: Exception) -> LriError:
 _EXIT_CODES = (
     (InconsistentAxioms, 3),
     (ResourceLimit, 4),
-    (_MultipleGroundings, 5),
+    (kbmod.MultipleGroundings, 5),
     (_InvalidComponents, 6),
 )
 
@@ -155,9 +152,9 @@ def _printer():
     return functools.cache(print_formula)
 
 
-def _position_fields(position, printed) -> dict:
-    indices = sorted(position.chosen)
-    hypotheses = position.domain.hypotheses
+def _position_fields(domain, chosen, printed) -> dict:
+    indices = sorted(chosen)
+    hypotheses = domain.hypotheses
     return {
         "indices": indices,
         "hypotheses": [printed(hypotheses[i]) for i in indices],
@@ -165,7 +162,8 @@ def _position_fields(position, printed) -> dict:
 
 
 def _justification_fields(justification, printed) -> dict:
-    fields = _position_fields(justification.position, printed)
+    position = justification.position
+    fields = _position_fields(position.domain, position.chosen, printed)
     fields["conclusion"] = printed(justification.conclusion)
     return fields
 
@@ -261,17 +259,17 @@ def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
 
 
 def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
-    grounded = base.parse_query(text)
-    if len(grounded) != 1:
-        raise _MultipleGroundings(
-            f"{text.strip()!r} grounds to {len(grounded)} formulas; "
-            "supply a single ground instance"
-        )
-    return grounded[0]
+    """The one instance of a query statement.
+
+    A statement with more instances is refused by its count, before any is
+    built (`KnowledgeBase.parse_query` with a limit of one).
+    """
+    return base.parse_query(text, 1)[0]
 
 
 def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
-    positions = maximal_positions(domain)
+    """The verdicts of `check`: the positions are counted, not listed."""
+    count = position_count(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
     if dimacs:
         problem = clausify(domain.axioms + domain.hypotheses)
@@ -280,7 +278,7 @@ def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
     verdict = {
         "axioms_consistent": True,
         "overall_consistent": overall,
-        "maximal_position_count": len(positions),
+        "maximal_position_count": count,
     }
     return _doc("check", {}, verdict, diagnostics=_tally(domain))
 
@@ -302,7 +300,7 @@ def positions_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules) -> dict:
         "positions",
         {},
         {"count": len(positions)},
-        positions=[_position_fields(p, printed) for p in positions],
+        positions=[_position_fields(domain, p.chosen, printed) for p in positions],
         diagnostics=_tally(domain),
     )
 
@@ -325,7 +323,9 @@ def infer_doc(
         "infer",
         {"formula": printed(phi)},
         "reasonable" if witness is not None else "not-reasonable",
-        positions=[_position_fields(witness, printed)] if witness is not None else [],
+        positions=[] if witness is None else [
+            _position_fields(domain, witness.chosen, printed)
+        ],
         justification_docs=[_justification_fields(j, printed) for j in found],
         diagnostics=_tally(domain),
     )
@@ -396,8 +396,8 @@ def _render_context(doc: dict) -> list[str]:
 def variety_doc(
     base: kbmod.KnowledgeBase, domain: DomainOfRules, probe, dot
 ) -> dict:
+    """The variety's components, each listed once from its selection."""
     v = variety_of(domain)
-    positions = maximal_positions(domain)
     printed = _printer()
     verdict = {
         "component_count": len(v),
@@ -420,9 +420,9 @@ def variety_doc(
             {
                 "component": i,
                 "axioms": [printed(f) for f in v.renamed_axioms(i)],
-                **_position_fields(position, printed),
+                **_position_fields(domain, chosen, printed),
             }
-            for i, position in enumerate(positions)
+            for i, chosen in enumerate(v._selections)
         ],
         diagnostics=_tally(domain),
     )

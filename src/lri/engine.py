@@ -16,17 +16,21 @@ when their justifications can be adopted together, which is how reasoning
 tracks that two individually reasonable conclusions may rest on mutually
 exclusive readings of the rules.
 
-Hypothesis selections are represented throughout as frozen sets of indices
-into the domain's hypothesis list, so equality of positions is equality of
-selections, and minimality is measured over selections, never over the
-shared axioms.
+Hypothesis selections are represented as frozen sets of indices into the
+domain's hypothesis list, and listed as ascending index tuples, so equality
+of positions is equality of selections, and minimality is measured over
+selections, never over the shared axioms.
 
 Every question is answered per island: a group of axioms and hypotheses
 that shares no atom with the rest of the domain.  A selection is consistent
 exactly when its part in each island is, so maximal positions are products
 of per-island maximal selections, and a conclusion depends only on the
 islands whose atoms it mentions.  Likewise contexts are chosen per group of
-queries whose justifications share an island, and joined as a product.
+queries whose justifications share an island.  Every such product is one
+`_join`: the unions of one member of each part, as sorted tuples, in sorted
+order.  It lists the positions, the parts a conclusion's witness is sought
+among and the contexts.  The number of positions alone is `position_count`,
+the product of the islands' counts, which lists nothing.
 
 Maximal positions and justifications are two calls of one subset sweep,
 `_sweep`: an island's maximal selections are swept largest first, a
@@ -45,7 +49,8 @@ and only the clauses those literals reach take part.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Collection, Iterable, Optional, Sequence
+import math
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from . import sat
 from .cnf import CnfBuilder
@@ -77,11 +82,11 @@ class _Island:
 
     `axiom_tops` are the axioms' top literals; `hypotheses` holds
     domain-wide hypothesis indices, ascending; `maximal` caches the island's
-    maximal consistent selections once swept.  Until then `consistency`
-    memoizes the answers that point questions' searches gave, by the
-    selection's part in the island.  The sweep reads it but adds nothing,
-    since it asks no part twice, and empties it at the end, since `maximal`
-    answers every part.
+    maximal consistent selections once swept, sorted by index tuple.  Until
+    then `consistency` memoizes the answers that point questions' searches
+    gave, by the selection's part in the island.  The sweep reads it but
+    adds nothing, since it asks no part twice, and empties it at the end,
+    since `maximal` answers every part.
     """
 
     def __init__(self, axiom_tops, hypotheses) -> None:
@@ -258,7 +263,8 @@ class DomainOfRules:
         is maximal unless an accepted one contains it, and then it is never
         asked; each consistency check is its own question.  The sweep never
         asks a selection twice, so it reads the island's memo but adds
-        nothing to it, and empties it once the sweep ends.
+        nothing to it, and empties it once the sweep ends.  The selections
+        are kept sorted by index tuple.
         """
         island = self._islands[number]
         if island.maximal is None:
@@ -271,7 +277,8 @@ class DomainOfRules:
                 return known
 
             sizes = range(len(island.hypotheses), -1, -1)
-            island.maximal = _sweep(island.hypotheses, sizes, fits)
+            swept = _sweep(island.hypotheses, sizes, fits)
+            island.maximal = tuple(sorted(swept, key=sorted))
             island.consistency.clear()
         return island.maximal
 
@@ -436,37 +443,54 @@ def _sweep(
     return tuple(accepted)
 
 
-def _index_tuple(selection: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(selection))
+def _join(parts: Iterable[Iterable[Collection]]) -> list[tuple]:
+    """The unions of one member of each part, each a sorted tuple, sorted.
 
-
-def _joined(
-    domain: DomainOfRules, numbers: Iterable[int]
-) -> list[frozenset[int]]:
-    """Unions of one maximal selection per listed island, by index tuple."""
+    This is the engine's one product of per-part answers: the positions
+    join the islands' maximal selections, a witness is sought among the
+    joined parts of the islands a conclusion touches, and the contexts join
+    the groups' kept choices.
+    """
     return sorted(
-        (
-            frozenset().union(*parts)
-            for parts in itertools.product(
-                *(domain._island_maximal(number) for number in numbers)
-            )
-        ),
-        key=_index_tuple,
+        tuple(sorted(itertools.chain(*members)))
+        for members in itertools.product(*parts)
     )
+
+
+def _every_island(domain: DomainOfRules) -> Iterator[tuple[frozenset, ...]]:
+    """Each island's maximal selections, in island order, swept as read."""
+    return map(domain._island_maximal, range(len(domain._islands)))
+
+
+def maximal_selections(domain: DomainOfRules) -> list[tuple[int, ...]]:
+    """The maximal positions' selections, as ascending index tuples, in order.
+
+    A selection is maximal exactly when its part in every island is, so the
+    selections are the join of the islands' maximal selections, sorted by
+    index tuple.  Each island caches its selections, and every call joins
+    them again.
+    """
+    return _join(_every_island(domain))
+
+
+def position_count(domain: DomainOfRules) -> int:
+    """How many maximal positions the domain has, without listing them.
+
+    It is the product of the islands' counts of maximal selections.
+    """
+    return math.prod(map(len, _every_island(domain)))
 
 
 def maximal_positions(domain: DomainOfRules) -> list[Position]:
     """All positions whose selection no consistent selection properly extends.
 
-    A selection is maximal exactly when its part in every island is, so the
-    positions are the products of the islands' maximal selections.  They are
-    returned sorted by their index tuples in ascending order.  Each island
-    caches its selections, and every call joins them again; nothing the
-    domain holds refers back to it, so it is freed by reference counting.
+    They are `maximal_selections` as records, in its order: sorted by their
+    index tuples in ascending order.  Nothing the domain holds refers back
+    to them, so they are freed by reference counting.
     """
     return [
-        _proved(Position, domain, chosen)
-        for chosen in _joined(domain, range(len(domain._islands)))
+        _proved(Position, domain, frozenset(chosen))
+        for chosen in maximal_selections(domain)
     ]
 
 
@@ -481,26 +505,22 @@ def reasonably_infers(
     conclusion touches.  Each island's maximal selections form an antichain,
     so changing one island's part while the rest stay fixed orders positions
     as it orders the parts.  The first entailing position therefore joins
-    the first entailing part over the touched islands with the first
-    maximal selection of every other island, and no other position is built.
+    the first entailing part of the join over the touched islands with the
+    first maximal selection of every other island, and no other position is
+    built.
     """
     touched = domain._ask(conclusion)
+    parts = _join(map(domain._island_maximal, sorted(touched)))
     part = next(
-        (
-            candidate
-            for candidate in _joined(domain, sorted(touched))
-            if domain.selection_entails(candidate, conclusion)
-        ),
-        None,
+        (p for p in parts if domain.selection_entails(p, conclusion)), None
     )
     if part is None:
         return None
     rest = (
-        min(domain._island_maximal(number), key=_index_tuple)
-        for number in range(len(domain._islands))
+        maximal[0] for number, maximal in enumerate(_every_island(domain))
         if number not in touched
     )
-    return _proved(Position, domain, part.union(*rest))
+    return _proved(Position, domain, frozenset(part).union(*rest))
 
 
 def in_reasonable_theory(domain: DomainOfRules, conclusion: Formula) -> bool:
@@ -583,8 +603,9 @@ def maximal_consistent_contexts(
     with none, or only the empty one, stands alone).  A union is consistent
     exactly when each island's part is, and covering a left-out query
     changes only its own group's islands, so the combinations are tried
-    within each group only, and the contexts join one kept combination per
-    group.
+    within each group only, and the contexts are the `_join` of the groups'
+    kept combinations, whose members are `(query, slot, justification)`
+    triples.
 
     The result order is that of one product over all queries: for each
     query in input order, covering justifications in their `justifications`
@@ -622,12 +643,9 @@ def maximal_consistent_contexts(
                 kept[-1].append(picked)
     # A joined choice lists every query once, in input order, so the joined
     # choices sort by their slots.
-    joined = sorted(
-        sorted(itertools.chain(*parts)) for parts in itertools.product(*kept)
-    )
     return [
         Context(frozenset((query_list[k], j) for k, _, j in choice if j))
-        for choice in joined
+        for choice in _join(kept)
     ]
 
 

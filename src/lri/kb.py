@@ -28,22 +28,28 @@ import re
 from typing import Optional
 
 from .engine import DomainOfRules
-from .errors import FormulaSyntaxError, UnknownSymbol
+from .errors import FormulaSyntaxError, LriError, UnknownSymbol
 from .formula import (
     Formula,
     Record,
     Signature,
     ground,
+    is_ground,
     is_variable,
     parse_formula,
     parse_statements,
     print_formula,
+    variables_of,
 )
 
 _HEADER_RE = re.compile(
     r"^(constants|axioms|hypotheses|queries):", re.MULTILINE
 )
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+
+
+class MultipleGroundings(LriError):
+    """A query grounds to more instances than its command allows."""
 
 
 class KnowledgeBase(Record):
@@ -60,7 +66,9 @@ class KnowledgeBase(Record):
             self.axioms, self.hypotheses, self.signature, max_decisions
         )
 
-    def parse_query(self, text: str) -> list[Formula]:
+    def parse_query(
+        self, text: str, limit: Optional[int] = None
+    ) -> list[Formula]:
         """Parse one query statement and ground it over this base's domain.
 
         New predicates are fine (queries may probe fresh atoms); new
@@ -68,26 +76,46 @@ class KnowledgeBase(Record):
         because they would silently change the grounding domain.  The
         statement is parsed and grounded once, on the base's signature; one
         refused for any reason (bad syntax, a clashing arity, an undeclared
-        constant, nothing to ground over, too deep a nesting) is rolled
-        back, so the signature is left as it was.
+        constant, nothing to ground over, too deep a nesting, more instances
+        than `limit`) is rolled back, so the signature is left as it was.
+
+        Grounding is duplicate free, so a statement has |constants| to the
+        power |variables| instances, one if it is ground; one with more than
+        `limit` is refused with MultipleGroundings before any is built, once
+        its constants are checked.  A statement with variables and no
+        constant to ground over counts none, so grounding refuses it with
+        EmptyDomain.
         """
-        return self._read(lambda sig: ground(parse_formula(text, sig), sig))
+
+        def expand(schema: Formula, sig: Signature) -> list[Formula]:
+            if limit is not None and not is_ground(schema):
+                count = len(sig.constants) ** len(variables_of(schema))
+                if count > limit:
+                    raise MultipleGroundings(
+                        f"{text.strip()!r} grounds to {count} formulas; "
+                        "supply a single ground instance"
+                    )
+            return ground(schema, sig)
+
+        return self._read(parse_formula, text, expand)
 
     def ground_statements(self, text: str) -> tuple[Formula, ...]:
         """Parse period-terminated statements and ground each, as parse_query."""
-        return self._read(
-            lambda sig: _ground_all(parse_statements(text, sig), sig)
-        )
+        return self._read(parse_statements, text, _ground_all)
 
-    def _read(self, read):
+    def _read(self, parse, text, expand):
+        """Parse text on the signature, check its constants, then ground it.
+
+        A refusal at any step rolls the signature back.
+        """
         mark = self.signature.mark()
         try:
-            formulas = read(self.signature)
+            parsed = parse(text, self.signature)
             _check_constants(self.signature, self.declared_constants)
+            return expand(parsed, self.signature)
         except BaseException:
             self.signature.rollback(mark)
             raise
-        return formulas
 
 
 def _check_constants(

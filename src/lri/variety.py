@@ -39,7 +39,7 @@ import itertools
 from functools import cached_property, reduce
 from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .engine import DomainOfRules, maximal_positions
+from .engine import DomainOfRules, maximal_selections
 from .errors import IncompleteRenaming
 from .formula import (
     And,
@@ -194,13 +194,13 @@ class Variety:
     domain is axiom-free, its hypotheses are the distinct component
     formulas in first-occurrence order, and each selection follows its
     calculus's axiom order; `variety_of` instead holds the domain it is
-    given, with its positions' selections in ascending order.  The calculi
-    are made from the derived axioms when `components` is first read.
-    Every operation below reads the domain and the selections alone, so it
-    never asks which kind of variety it has: a component has
-    `len(domain.axioms)` axioms more than its selection, and two components
-    share an axiom exactly when the domain has axioms or their selections
-    intersect.
+    given, with the join's ascending index tuples (`maximal_selections`),
+    one per maximal position.  The calculi are made from the derived
+    axioms when `components` is first read.  Every operation below reads
+    the domain and the selections alone, so it never asks which kind of
+    variety it has: a component has `len(domain.axioms)` axioms more than
+    its selection, and two components share an axiom exactly when the
+    domain has axioms or their selections intersect.
     """
 
     def __init__(
@@ -259,14 +259,13 @@ def variety_of(domain: DomainOfRules) -> Variety:
 
     One component per maximal position, in the positions' order; component
     axioms are the position's formulas (shared axioms included), no labels.
-    The variety holds the domain itself, with each position's selection in
-    ascending order, which is the order of its formulas.
+    The variety holds the domain itself, with the ascending index tuples of
+    `maximal_selections`, which list each position's formulas in order; no
+    `Position` is built.
     """
-    positions = maximal_positions(domain)
+    selections = tuple(maximal_selections(domain))
     return Variety.__new__(Variety)._hold(
-        domain,
-        tuple(tuple(sorted(position.chosen)) for position in positions),
-        (None,) * len(positions),
+        domain, selections, (None,) * len(selections)
     )
 
 

@@ -209,6 +209,11 @@ def cases() -> list[dict]:
         stdin=ASK_SESSION, inputs={"s2.lri": ASK_BASE})
     add("budget", ["infer", "--max-decisions", "6", "s2.lri", ASK_QUESTION],
         inputs={"s2.lri": ASK_BASE})
+    # Answers counted, not listed: 2^30 positions, and a query refused by
+    # its 30^4 instances before any is built.
+    large = MARK + "tests/data/golden/large/"
+    add("counted", ["check", large + "pairs_30.lri"])
+    add("counted", ["infer", large + "constants_30.lri", "r(X, Y) & r(Z, W)"])
     return out
 
 

@@ -68,6 +68,20 @@ def exclusions(n: int, ring: bool = False) -> Family:
     )
 
 
+def paired_exception_rules(k: int) -> tuple[list[Formula], list[Formula]]:
+    """The axioms and hypotheses of `paired_exceptions(k)` alone.
+
+    They list nothing per position, so k may be too large to list the 2^k
+    positions.
+    """
+    axioms, hypotheses = [], []
+    for i in range(k):
+        p, e, q = Atom(f"p{i}"), Atom(f"e{i}"), Atom(f"q{i}")
+        axioms.append(And(p, e))
+        hypotheses += [Implies(p, q), Implies(e, Not(q))]
+    return axioms, hypotheses
+
+
 def paired_exceptions(k: int) -> Family:
     """k islands {p_i & e_i; p_i -> q_i, e_i -> -q_i}: 2^k positions.
 
@@ -77,11 +91,7 @@ def paired_exceptions(k: int) -> Family:
     rule, it is not reasonable.  The contexts of the queries `q_i` and
     `-q_i`, in that order, cover by the positions' own hypotheses.
     """
-    axioms, hypotheses = [], []
-    for i in range(k):
-        p, e, q = Atom(f"p{i}"), Atom(f"e{i}"), Atom(f"q{i}")
-        axioms.append(And(p, e))
-        hypotheses += [Implies(p, q), Implies(e, Not(q))]
+    axioms, hypotheses = paired_exception_rules(k)
     positions = [
         [2 * i + side for i, side in enumerate(sides)]
         for sides in itertools.product((0, 1), repeat=k)

@@ -2,20 +2,24 @@
 
 import argparse
 import io
+import itertools
 import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import lri.kb
 from lri import cli, cnf, engine, print_formula, sat
 from lri.cli import ReplSession
 from lri.kb import load, loads
 
 from bruteforce import make_atoms, random_formula
 from conftest import record_solves
+from families import paired_exception_rules
 
 ROOT = Path(__file__).resolve().parents[1]
 PERMIT_SAMPLE = str(ROOT / "samples/permit.lri")
@@ -400,6 +404,95 @@ def test_multiple_groundings_exit_5(capsys, tmp_path):
     assert doc["diagnostics"]["error"] == "MultipleGroundings"
 
 
+LARGE = ROOT / "tests" / "data" / "golden" / "large"
+MANY = {
+    "r(X, Y) & r(Z, W)": 30**4,
+    "r(X, Y) & r(Z, W) & s(V)": 30**5,
+}
+
+
+def _ungrounded(monkeypatch):
+    def ground(schema, signature):
+        raise AssertionError("a refused query was grounded")
+
+    monkeypatch.setattr("lri.kb.ground", ground)
+
+
+@pytest.mark.parametrize("query", MANY)
+def test_a_many_instance_query_is_refused_before_grounding(
+    capsys, monkeypatch, query
+):
+    """Over 30 constants, 4 and 5 variables give 30^4 and 30^5 instances:
+    `infer` and `justify` refuse the query by that count, in batch and in a
+    session, without building one instance."""
+    base = load(str(LARGE / "constants_30.lri"))
+    domain = base.domain()
+    _ungrounded(monkeypatch)
+    message = (
+        f"{query!r} grounds to {MANY[query]} formulas; "
+        "supply a single ground instance"
+    )
+    for handler in (cli.infer_doc, cli.justify_doc):
+        start = time.perf_counter()
+        with pytest.raises(lri.kb.MultipleGroundings) as refused:
+            handler(base, domain, query)
+        assert time.perf_counter() - start < 0.05
+        assert str(refused.value) == message
+    session = ReplSession(base)
+    for verb in ("infer", "justify"):
+        doc = session.handle(f"{verb} {query}")
+        assert doc["diagnostics"] == {
+            "error": "MultipleGroundings", "message": message,
+        }
+    monkeypatch.undo()  # loading the base grounds its rules
+    code, doc, _ = run_json(
+        capsys, "infer", str(LARGE / "constants_30.lri"), query
+    )
+    assert code == 5
+    assert doc["diagnostics"]["message"] == message
+
+
+def test_check_counts_the_positions_without_listing_them(monkeypatch):
+    """30 islands of paired exceptions have 2^30 positions: `check` reports
+    their number as the product of the islands' two, and lists none."""
+
+    def listed(*args):
+        raise AssertionError("check listed the positions")
+
+    for owner in (cli, engine):
+        monkeypatch.setattr(owner, "maximal_positions", listed)
+    monkeypatch.setattr(engine, "_join", listed, raising=False)
+    start = time.perf_counter()
+    domain = engine.DomainOfRules(*paired_exception_rules(30))
+    verdict = cli.check_doc(None, domain, None)["verdict"]
+    assert time.perf_counter() - start < 1.0
+    assert verdict == {
+        "axioms_consistent": True,
+        "overall_consistent": False,
+        "maximal_position_count": 2**30,
+    }
+
+
+def test_variety_lists_the_positions_once(capsys, monkeypatch):
+    """The document's components are the variety's own selections."""
+    joins = []
+    real = engine._join
+
+    def join(parts):
+        joins.append(parts)
+        return real(parts)
+
+    monkeypatch.setattr(engine, "_join", join)
+    path = ROOT / "tests" / "data" / "golden" / "paired_exceptions.lri"
+    code, doc, _ = run_json(capsys, "variety", str(path))
+    assert code == 0
+    assert [p["indices"] for p in doc["positions"]] == [
+        [2 * i + side for i, side in enumerate(sides)]
+        for sides in itertools.product((0, 1), repeat=4)
+    ]
+    assert len(joins) == 1
+
+
 def test_bad_component_indices_exit_6(capsys, permit_file):
     code, doc, _ = run_json(capsys, "compat", permit_file, "0", "9")
     assert code == 6
@@ -440,6 +533,7 @@ def test_parser_is_built_on_first_use_only():
     script = """\
 import argparse
 import io
+import itertools
 import json
 import sys
 

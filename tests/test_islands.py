@@ -302,3 +302,30 @@ def test_a_domains_variety_reads_no_position_formulas(monkeypatch):
         (2, 4), Or(q0, q1)
     )
     assert [v.renamed_axioms(i) for i in range(len(v))] == formulas
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_positions_are_counted_and_listed_as_the_oracle_lists_them(seed):
+    """`maximal_selections` lists the oracle's positions as ascending index
+    tuples, in its order, and `position_count` is their number."""
+    axioms, hypotheses, _, _ = _corpus(seed)
+    domain = new_domain(axioms, hypotheses)
+    oracle = DomainOracle(axioms, hypotheses)
+    expected = [tuple(sorted(s)) for s in oracle.maximal_positions()]
+    assert lri.engine.maximal_selections(domain) == expected
+    assert lri.engine.position_count(domain) == len(expected)
+
+
+def test_a_domains_variety_builds_no_position(monkeypatch):
+    """`variety_of` holds the join's index tuples; no `Position` is made."""
+    axioms, hypotheses, positions, *_ = paired_exceptions(4)
+    domain = new_domain(axioms, hypotheses)
+    real = lri.engine._proved
+
+    def proved(cls, *fields):
+        assert cls is not lri.engine.Position, "a Position was built"
+        return real(cls, *fields)
+
+    monkeypatch.setattr(lri.engine, "_proved", proved)
+    v = variety_of(domain)
+    assert v._selections == tuple(map(tuple, positions))

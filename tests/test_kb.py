@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import lri.formula
+import lri.kb
 from lri import (
     ArityMismatch,
     Atom,
@@ -276,6 +277,33 @@ def test_a_refused_statement_is_rolled_back(text):
         with pytest.raises(error):
             kb.ground_statements("q. " + query + ".")
         assert declared() == before, query
+
+
+def test_a_query_over_its_limit_is_refused_by_its_count(monkeypatch):
+    """|constants| ^ |variables| instances over the limit are refused,
+    after the refusals of a bad statement, and the signature rolls back."""
+    kb = loads("constants: a b c\naxioms:\n    p(a).\n")
+    before = kb.signature.mark()
+    refusals = [
+        ("fresh(X, Y) & (", FormulaSyntaxError),
+        ("fresh(X, Y) & p(X, Y)", ArityMismatch),
+        ("fresh(X, Y) & p(zz)", UnknownSymbol),
+        ("fresh(X, Y) & p(X)", lri.kb.MultipleGroundings),
+    ]
+    real = lri.kb.ground
+    monkeypatch.setattr("lri.kb.ground", None)
+    for query, error in refusals:
+        with pytest.raises(error):
+            kb.parse_query(query, 8)
+        assert kb.signature.mark() == before, query
+    with pytest.raises(lri.kb.MultipleGroundings) as refused:
+        kb.parse_query(" p(X) ", 1)
+    assert str(refused.value).startswith("'p(X)' grounds to 3 formulas; ")
+    monkeypatch.setattr("lri.kb.ground", real)
+    assert len(kb.parse_query("fresh(X, Y)", 9)) == 9
+    assert texts(kb.parse_query("p(a) & -q", 1)) == ["(p(a) & -q)"]
+    with pytest.raises(EmptyDomain):
+        loads("axioms:\n    q.\n").parse_query("r(X, Y)", 1)
 
 
 def test_a_query_is_read_in_one_lexer_pass(monkeypatch):
