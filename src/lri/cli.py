@@ -9,10 +9,10 @@ so equal inputs produce byte-identical output.
 
 A document costs what its text costs.  The handler that builds it prints
 each formula it shows once, and `_json` writes it as the exact bytes of
-`json.dumps(doc, sort_keys=True, indent=2)` without importing `json`: it
-escapes strings with the C function json itself uses
-(`_json.encode_basestring_ascii`) and writes numbers, booleans and None as
-json does.
+`json.dumps(doc, sort_keys=True, indent=2)` without importing `json`.  A
+document holds five types only: dicts, lists, strings, ints and booleans.
+`_json` escapes strings with the C function json itself uses
+(`_json.encode_basestring_ascii`) and writes ints and booleans as json does.
 
 Exit codes come from `_EXIT_CODES`: 0 success; 3 the axiom set itself is
 inconsistent; 4 the decision budget was exceeded; 5 a query formula grounds
@@ -51,7 +51,7 @@ from itertools import groupby, repeat
 from typing import Optional, Sequence, TextIO
 
 from . import kb as kbmod
-from .cnf import clausify, to_dimacs
+from .cnf import to_dimacs
 from .engine import (
     DomainOfRules,
     justifications,
@@ -196,32 +196,22 @@ def _human(doc: dict) -> list[str]:
     return _VERBS[doc["command"]].render(doc)
 
 
-def _scalar_text(value) -> str:
-    """`json.dumps(value)` for a scalar whose type is not a key of
-    `_SCALAR_TEXT`."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return {None: "null", True: "true", False: "false"}[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-# How a scalar whose type is exactly the key is written; every other scalar
-# goes to `_scalar_text` (`int.__repr__` would write True as 1).
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+# How a scalar of each type a document holds is written (`int.__repr__`
+# would write True as 1).
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
 
 
 def _json(value, indent: str = "") -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)` for a dict, list or tuple
-    with string keys, starting `indent` deep.
+    """`json.dumps(value, sort_keys=True, indent=2)` for a dict or list,
+    starting `indent` deep.
 
-    Each run of like-typed scalars is written by one `map`, and each nested
-    container is one call.
+    The value holds only what documents hold: dicts with string keys,
+    lists, strings, ints and booleans.  Each run of like-typed scalars is
+    written by one `map`, and each nested container is one call.
     """
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
@@ -229,10 +219,10 @@ def _json(value, indent: str = "") -> str:
     keys = sorted(value) if isinstance(value, dict) else None
     texts: list[str] = []
     for kind, run in groupby(value if keys is None else map(value.get, keys), type):
-        if issubclass(kind, (dict, list, tuple)):
+        if kind is dict or kind is list:
             texts += map(_json, run, repeat(inner))
         else:
-            texts += map(_SCALAR_TEXT.get(kind, _scalar_text), run)
+            texts += map(_SCALAR_TEXT[kind], run)
     if keys is None:
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
     items = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
@@ -268,11 +258,17 @@ def _single_ground(base: kbmod.KnowledgeBase, text: str) -> Formula:
 
 
 def check_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules, dimacs) -> dict:
-    """The verdicts of `check`: the positions are counted, not listed."""
+    """The verdicts of `check`: the positions are counted, not listed.
+
+    `--dimacs` lists the problem the domain's solver would search over
+    every island and every hypothesis, from the domain's own clause store.
+    """
     count = position_count(domain)
     overall = domain.consistent(frozenset(range(len(domain.hypotheses))))
     if dimacs:
-        problem = clausify(domain.axioms + domain.hypotheses)
+        problem = domain._problem(
+            range(len(domain._islands)), range(len(domain.hypotheses))
+        )
         with open(dimacs, "w", encoding="utf-8") as handle:
             handle.write(to_dimacs(problem))
     verdict = {

@@ -13,8 +13,9 @@ query.  Each definition's clauses go into the builder's `sat.ClauseStore`
 once, when the definition is made.  A search under assumptions (`problem`)
 activates only the definitions its literals reach, its cone, and a query's
 own definitions can be rolled back once it is answered.  `clause_set` finds
-the same problem by a walk that no memo takes part in, for `check --dimacs`
-and for tests.
+the same problem by a walk that no memo takes part in, for `clausify` and
+for tests; `check --dimacs` lists the problem a domain of rules builds in
+its own store instead.
 
 The builder is the one place variables are numbered.  An atom is numbered
 when it is first translated and a definition when it is made, counting from

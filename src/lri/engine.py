@@ -41,9 +41,12 @@ inference, are wrapped by `_proved` without asking the domain again.  A
 conclusion is walked once, when the domain first asks it (`_ask`); the
 islands it touches are then read by every step of the question.
 
-Every search is a `sat.solve` over the domain's one clause store: it assumes
-the top literals of the rules (and the negated conclusion) a question needs,
-and only the clauses those literals reach take part.
+Every search is built by one method, `DomainOfRules._problem`, and run by
+another, `_search`: a `sat.solve` over the domain's one clause store that
+assumes the top literals of the rules (and the negated conclusion) a
+question needs, so only the clauses those literals reach take part.  The
+problem over every island and every hypothesis is the one `check --dimacs`
+lists.
 """
 
 from __future__ import annotations
@@ -227,20 +230,29 @@ class DomainOfRules:
         """
         self._builder.store.spent = 0
 
-    def _satisfiable(self, tops: list[int]) -> bool:
-        """Whether the top literals are satisfiable together."""
-        problem = self._builder.problem(tops)
-        return sat.solve(problem, self.max_decisions).satisfiable
+    def _problem(
+        self, islands: Iterable[int], part: Iterable[int], *extra: int
+    ) -> sat.Problem:
+        """The search over the islands' axioms, the hypotheses in part and extra.
 
-    def _island_search(self, island: _Island, part: frozenset[int]) -> bool:
-        """Search whether the island's axioms and the hypotheses in part fit.
+        It assumes the top literals of the islands' axioms, island by island
+        in the order given, then of the hypotheses in part, ascending, then
+        the extra literals.  Every search of the domain is built here.
+        """
+        tops = [top for n in islands for top in self._islands[n].axiom_tops]
+        tops += [self._hyp_tops[i] for i in sorted(part)]
+        tops += extra
+        return self._builder.problem(tops)
 
-        Nothing asserted (an island without axioms, asked of no hypotheses)
+    def _search(self, problem: sat.Problem) -> bool:
+        """Whether the problem is satisfiable, under the domain's budget.
+
+        Nothing assumed (an island without axioms, asked of no hypotheses)
         is satisfiable without a search.
         """
-        tops = list(island.axiom_tops)
-        tops += [self._hyp_tops[i] for i in sorted(part)]
-        return not tops or self._satisfiable(tops)
+        return not problem.assumptions or sat.solve(
+            problem, self.max_decisions
+        ).satisfiable
 
     def _island_consistent(self, number: int, part: frozenset[int]) -> bool:
         """Whether the island's axioms and the hypotheses in part are satisfiable.
@@ -253,7 +265,8 @@ class DomainOfRules:
             return any(map(part.issubset, island.maximal))
         known = island.consistency.get(part)
         if known is None:
-            known = island.consistency[part] = self._island_search(island, part)
+            known = self._search(self._problem([number], part))
+            island.consistency[part] = known
         return known
 
     def _island_maximal(self, number: int) -> tuple[frozenset[int], ...]:
@@ -273,7 +286,7 @@ class DomainOfRules:
                 self._question()
                 known = island.consistency.get(selection)
                 if known is None:
-                    return self._island_search(island, selection)
+                    return self._search(self._problem([number], selection))
                 return known
 
             sizes = range(len(island.hypotheses), -1, -1)
@@ -336,13 +349,10 @@ class DomainOfRules:
         )
         countered = self._countered.get(inside)
         if countered is None:
-            tops = [
-                top for number in sorted(touched)
-                for top in self._islands[number].axiom_tops
-            ]
-            tops += [self._hyp_tops[i] for i in sorted(inside)]
-            tops.append(-self._builder.add(conclusion))
-            countered = self._countered[inside] = self._satisfiable(tops)
+            problem = self._problem(
+                sorted(touched), inside, -self._builder.add(conclusion)
+            )
+            countered = self._countered[inside] = self._search(problem)
         return not countered or not self._parts_consistent(chosen, touched)
 
 

@@ -106,6 +106,31 @@ def test_check_writes_dimacs(capsys, permit_file, tmp_path):
     assert lines[0].startswith("c 1 = ")
 
 
+def test_check_dimacs_makes_no_builder_once_its_domain_is_built(
+    capsys, monkeypatch, permit_file, tmp_path
+):
+    """`--dimacs` lists the domain's own store; no rule is translated again."""
+    built = []
+    build = engine.DomainOfRules.__init__
+    make = cnf.CnfBuilder.__init__
+
+    def building(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
+
+    def making(self):
+        assert not built, "a clause builder was made after the domain"
+        make(self)
+
+    monkeypatch.setattr(engine.DomainOfRules, "__init__", building)
+    monkeypatch.setattr(cnf.CnfBuilder, "__init__", making)
+    target = tmp_path / "clauses.cnf"
+    code, _, _ = run_json(capsys, "check", permit_file, "--dimacs", str(target))
+    assert code == 0
+    assert len(built) == 1
+    assert target.read_text(encoding="utf-8").startswith("c 1 = ")
+
+
 def test_positions_lists_maximal_positions(capsys, permit_file):
     code, doc, _ = run_json(capsys, "positions", permit_file)
     assert code == 0

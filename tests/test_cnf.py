@@ -5,6 +5,7 @@ import random
 import pytest
 
 from lri import Atom, FormulaSyntaxError, Not, Signature, parse_formula, sat
+from lri.cli import check_doc
 from lri.cnf import CnfBuilder, clausify, to_dimacs
 from lri.kb import load
 
@@ -151,17 +152,26 @@ def test_dimacs_listing():
 @pytest.mark.parametrize(
     "path", RULE_FILES, ids=lambda p: f"{p.parent.name}/{p.name}"
 )
-def test_dimacs_lists_the_domains_own_store(path):
+def test_dimacs_lists_the_domains_own_store(path, tmp_path):
     """A fresh translation of the rules lists as the domain's own store.
 
     Both builders number the rules' atoms first and then translate the same
-    rules in the same order, so they number and name the same variables,
-    and the listing over the domain's rule tops equals `check --dimacs`
-    byte for byte.
+    rules in the same order, so they number and name the same variables:
+    the listing over the domain's rule tops, and the file `check --dimacs`
+    writes from the domain's search over every island and hypothesis, equal
+    the fresh translation's byte for byte.  Listing adds nothing to the
+    domain's store.
     """
     base = load(str(path))
     domain = base.domain()
     rules = domain.axioms + domain.hypotheses
+    store = domain._builder.store
+    extent = (len(store.clauses), len(store.names))
     tops = [domain._builder.add(f) for f in rules]
     own = to_dimacs(domain._builder.clause_set(tops))
-    assert to_dimacs(clausify(rules)) == own
+    target = tmp_path / "clauses.cnf"
+    check_doc(base, domain, str(target))
+    assert (len(store.clauses), len(store.names)) == extent
+    fresh = to_dimacs(clausify(rules))
+    assert fresh == own
+    assert target.read_bytes() == fresh.encode("utf-8")

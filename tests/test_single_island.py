@@ -100,13 +100,13 @@ def test_the_sweep_adds_nothing_to_the_memo(monkeypatch):
     domain = new_domain(axioms, hypotheses)
     (island,) = domain._islands
     sizes = []
-    search = lri.engine.DomainOfRules._satisfiable
+    search = lri.engine.DomainOfRules._search
 
-    def recording(self, tops):
+    def recording(self, problem):
         sizes.append(len(island.consistency))
-        return search(self, tops)
+        return search(self, problem)
 
-    monkeypatch.setattr(lri.engine.DomainOfRules, "_satisfiable", recording)
+    monkeypatch.setattr(lri.engine.DomainOfRules, "_search", recording)
     found = [sorted(p.chosen) for p in maximal_positions(domain)]
     assert found == positions
     assert len(sizes) == 3747
