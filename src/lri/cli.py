@@ -8,11 +8,15 @@ justifications, contexts, diagnostics) and are serialized with sorted keys,
 so equal inputs produce byte-identical output.
 
 A document costs what its text costs.  The handler that builds it prints
-each formula it shows once, and `_json` writes it as the exact bytes of
-`json.dumps(doc, sort_keys=True, indent=2)` without importing `json`.  A
-document holds five types only: dicts, lists, strings, ints and booleans.
-`_json` escapes strings with the C function json itself uses
-(`_json.encode_basestring_ascii`) and writes ints and booleans as json does.
+each formula it shows once, and `positions` and `variety` list the join's
+index tuples with no `Position` record built.  `_json` writes a document
+as the exact bytes of `json.dumps(doc, sort_keys=True, indent=2)` without
+importing `json`: `_write` appends the text's pieces to one list, which is
+joined once.  A document holds five types only: dicts, lists, strings, ints
+and booleans.  `_write` dispatches on each value's exact type, escapes
+strings with the C function json itself uses
+(`_json.encode_basestring_ascii`), writes ints and booleans as json does,
+and writes a list of one scalar type by one join.
 
 Exit codes come from `_EXIT_CODES`: 0 success; 3 the axiom set itself is
 inconsistent; 4 the decision budget was exceeded; 5 a query formula grounds
@@ -47,7 +51,6 @@ import argparse
 import functools
 import sys
 from _json import encode_basestring_ascii
-from itertools import groupby, repeat
 from typing import Optional, Sequence, TextIO
 
 from . import kb as kbmod
@@ -56,7 +59,7 @@ from .engine import (
     DomainOfRules,
     justifications,
     maximal_consistent_contexts,
-    maximal_positions,
+    maximal_selections,
     minimal_inconsistent_subset,
     position_count,
     reasonably_infers,
@@ -205,28 +208,52 @@ _SCALAR_TEXT = {
 }
 
 
-def _json(value, indent: str = "") -> str:
-    """`json.dumps(value, sort_keys=True, indent=2)` for a dict or list,
-    starting `indent` deep.
+def _json(value) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a dict or list.
 
     The value holds only what documents hold: dicts with string keys,
-    lists, strings, ints and booleans.  Each run of like-typed scalars is
-    written by one `map`, and each nested container is one call.
+    lists, strings, ints and booleans.  `_write` appends the text's pieces
+    to one list, which is joined once.
     """
+    pieces: list[str] = []
+    _write(value, "", pieces)
+    return "".join(pieces)
+
+
+def _write(value, indent: str, pieces: list[str]) -> None:
+    """Append the text of one document value, `indent` deep, to `pieces`.
+
+    Each value is dispatched on its exact type, and each dict's keys are
+    sorted once.  A list of one scalar type is one run, written by one join
+    of one `map`; any other list is written item by item.  The writer calls
+    itself once per level, and a document is at most six levels deep (a
+    `context` document's justification indices).
+    """
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        pieces.append(_SCALAR_TEXT[kind](value))
+        return
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
+        pieces.append("{}" if kind is dict else "[]")
+        return
     inner = indent + "  "
-    keys = sorted(value) if isinstance(value, dict) else None
-    texts: list[str] = []
-    for kind, run in groupby(value if keys is None else map(value.get, keys), type):
-        if kind is dict or kind is list:
-            texts += map(_json, run, repeat(inner))
+    sep = ",\n" + inner
+    if kind is dict:
+        lead, close = "{\n" + inner, "}"
+        for key in sorted(value):
+            pieces.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = sep
+            _write(value[key], inner, pieces)
+    else:
+        lead, close, run = "[\n" + inner, "]", type(value[0])
+        if run in _SCALAR_TEXT and list(map(type, value)).count(run) == len(value):
+            pieces += lead, sep.join(map(_SCALAR_TEXT[run], value))
         else:
-            texts += map(_SCALAR_TEXT[kind], run)
-    if keys is None:
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
-    items = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
-    return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+            for item in value:
+                pieces.append(lead)
+                lead = sep
+                _write(item, inner, pieces)
+    pieces.append("\n" + indent + close)
 
 
 def _emit(doc: dict, pretty: bool, out: TextIO, err: TextIO) -> None:
@@ -290,13 +317,18 @@ def _render_check(doc: dict) -> list[str]:
 
 
 def positions_doc(base: kbmod.KnowledgeBase, domain: DomainOfRules) -> dict:
-    positions = maximal_positions(domain)
+    """The maximal positions, listed from the join's selections in order.
+
+    The join gives each selection as an ascending index tuple, and no
+    `Position` record is built for the listing.
+    """
+    selections = maximal_selections(domain)
     printed = _printer()
     return _doc(
         "positions",
         {},
-        {"count": len(positions)},
-        positions=[_position_fields(domain, p.chosen, printed) for p in positions],
+        {"count": len(selections)},
+        positions=[_position_fields(domain, s, printed) for s in selections],
         diagnostics=_tally(domain),
     )
 

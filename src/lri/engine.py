@@ -147,6 +147,8 @@ class DomainOfRules:
                     f"{print_formula(formula)}"
                 )
         self.hypotheses: tuple[Formula, ...] = tuple(hyp_list)
+        # Both tuples are fixed, so the hash is taken once.
+        self._hash = hash((self.axioms, self.hypotheses))
 
         if signature is None:
             signature = Signature()
@@ -196,7 +198,7 @@ class DomainOfRules:
         )
 
     def __hash__(self) -> int:
-        return hash((self.axioms, self.hypotheses))
+        return self._hash
 
     def __repr__(self) -> str:
         return (
@@ -478,7 +480,8 @@ def maximal_selections(domain: DomainOfRules) -> list[tuple[int, ...]]:
     A selection is maximal exactly when its part in every island is, so the
     selections are the join of the islands' maximal selections, sorted by
     index tuple.  Each island caches its selections, and every call joins
-    them again.
+    them again.  `lri positions` and `lri variety` print these tuples as
+    they are; `maximal_positions` wraps them as records for the library.
     """
     return _join(_every_island(domain))
 
@@ -496,7 +499,8 @@ def maximal_positions(domain: DomainOfRules) -> list[Position]:
 
     They are `maximal_selections` as records, in its order: sorted by their
     index tuples in ascending order.  Nothing the domain holds refers back
-    to them, so they are freed by reference counting.
+    to them, so they are freed by reference counting.  This is library API:
+    the command line lists `maximal_selections` and builds no record.
     """
     return [
         _proved(Position, domain, frozenset(chosen))

@@ -19,7 +19,7 @@ from lri.kb import load, loads
 
 from bruteforce import make_atoms, random_formula
 from conftest import record_solves
-from families import paired_exception_rules
+from families import paired_exception_rules, paired_exceptions
 
 ROOT = Path(__file__).resolve().parents[1]
 PERMIT_SAMPLE = str(ROOT / "samples/permit.lri")
@@ -141,6 +141,22 @@ def test_positions_lists_maximal_positions(capsys, permit_file):
         [1, 2],
     ]
     assert doc["positions"][0]["hypotheses"] == ["(act -> perm)", "ex"]
+
+
+def test_positions_builds_no_position(monkeypatch):
+    """`positions` lists the join's index tuples; no `Position` is made."""
+    axioms, hypotheses, positions, *_ = paired_exceptions(5)
+    domain = engine.DomainOfRules(axioms, hypotheses)
+    real = engine._proved
+
+    def proved(cls, *fields):
+        assert cls is not engine.Position, "a Position was built"
+        return real(cls, *fields)
+
+    monkeypatch.setattr(engine, "_proved", proved)
+    doc = cli.positions_doc(None, domain)
+    assert [p["indices"] for p in doc["positions"]] == positions
+    assert doc["verdict"] == {"count": 32}
 
 
 def test_infer_reasonable_formula(capsys, permit_file):
@@ -485,7 +501,8 @@ def test_check_counts_the_positions_without_listing_them(monkeypatch):
         raise AssertionError("check listed the positions")
 
     for owner in (cli, engine):
-        monkeypatch.setattr(owner, "maximal_positions", listed)
+        monkeypatch.setattr(owner, "maximal_selections", listed)
+    monkeypatch.setattr(engine, "maximal_positions", listed)
     monkeypatch.setattr(engine, "_join", listed, raising=False)
     start = time.perf_counter()
     domain = engine.DomainOfRules(*paired_exception_rules(30))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +30,13 @@ from lri import (
     print_formula,
     reasonably_infers,
 )
-from lri.formula import walk
+from lri.formula import _Node, walk
+from lri.kb import load
 
 from bruteforce import DomainOracle, random_domain, random_formula
 from conftest import build_domain, texts
+
+PAIRED = Path(__file__).resolve().parent / "data" / "golden" / "paired_exceptions.lri"
 
 
 def _index_sets(positions):
@@ -69,6 +73,28 @@ def test_duplicate_axioms_collapse():
     assert len(domain.axioms) == 1
     domain = build_domain(["p", "q", "p"], ["r"])
     assert texts(domain.axioms) == ["p", "q"]
+
+
+def test_a_built_domain_hashes_no_rule(monkeypatch):
+    """A domain's hash is taken once, when it is built: hashing it again
+    asks none of its 12 rules for theirs."""
+    domain = load(str(PAIRED)).domain()
+    hashed = []
+    real = _Node.__hash__
+
+    def counted(node):
+        hashed.append(node)
+        return real(node)
+
+    monkeypatch.setattr(_Node, "__hash__", counted)
+    assert hash(domain) == hash(domain)
+    assert hashed == []
+
+
+def test_two_loads_of_a_file_give_equal_domains_with_equal_hashes():
+    first, second = load(str(PAIRED)).domain(), load(str(PAIRED)).domain()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
 
 
 def test_non_ground_rules_rejected():

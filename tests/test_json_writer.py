@@ -88,3 +88,24 @@ def test_random_documents_match_json_dumps():
 )
 def test_edge_documents_match_json_dumps(doc):
     assert _json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# Documents the size of real ones: a `positions` listing of 1,000 entries,
+# a `variety` axiom list of 2,000 strings, and scalar runs that switch type.
+SIZED = {
+    "positions": [
+        {
+            "hypotheses": [f"(p_{i}_{j} -> -q\u00e9_{j})" for j in range(5)],
+            "indices": [5 * i + j for j in range(5)],
+        }
+        for i in range(1000)
+    ],
+    "axioms": [f"(r(c{i}, c{i % 7}) -> \"u\"(c{i}))\t{i}" for i in range(2000)],
+    "switching": [1, True, 2, "2", False, [], {}, 3],
+}
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_document_sized_inputs_match_json_dumps(name):
+    doc = SIZED[name]
+    assert _json(doc) == json.dumps(doc, sort_keys=True, indent=2)

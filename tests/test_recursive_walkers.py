@@ -19,6 +19,9 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lri"
 
 WALKERS = [
+    # The document writer calls itself once per document level, and a
+    # document is at most six levels deep (a `context` document).
+    "cli._write",
     "cnf.CnfBuilder.add",
     "formula._Parser.formula",
     "formula._Parser.unary",
