@@ -8,8 +8,11 @@ justifications, contexts, diagnostics) and are serialized with sorted keys,
 so equal inputs produce byte-identical output.
 
 A document costs what its text costs.  The handler that builds it prints
-each formula it shows once, and `positions` and `variety` list the join's
-index tuples with no `Position` record built.  `_json` writes a document
+each formula it shows once.  Every query verb lists the engine's answers as
+index tuples (`maximal_selections`, `witness_selection`,
+`justifying_selections`, `context_selections` and a variety's selections),
+and builds no `Position`, `Justification` or `Context`: those records are
+library API.  `_json` writes a document
 as the exact bytes of `json.dumps(doc, sort_keys=True, indent=2)` without
 importing `json`: `_write` appends the text's pieces to one list, which is
 joined once.  A document holds five types only: dicts, lists, strings, ints
@@ -57,12 +60,12 @@ from . import kb as kbmod
 from .cnf import to_dimacs
 from .engine import (
     DomainOfRules,
-    justifications,
-    maximal_consistent_contexts,
+    context_selections,
+    justifying_selections,
     maximal_selections,
     minimal_inconsistent_subset,
     position_count,
-    reasonably_infers,
+    witness_selection,
 )
 from .errors import InconsistentAxioms, LriError, ResourceLimit
 from .formula import Formula, Signature, print_formula
@@ -156,29 +159,24 @@ def _printer():
 
 
 def _position_fields(domain, chosen, printed) -> dict:
-    indices = sorted(chosen)
+    """The fields of an ascending selection: its indices and hypotheses."""
     hypotheses = domain.hypotheses
     return {
-        "indices": indices,
-        "hypotheses": [printed(hypotheses[i]) for i in indices],
+        "indices": list(chosen),
+        "hypotheses": [printed(hypotheses[i]) for i in chosen],
     }
 
 
-def _justification_fields(justification, printed) -> dict:
-    position = justification.position
-    fields = _position_fields(position.domain, position.chosen, printed)
-    fields["conclusion"] = printed(justification.conclusion)
-    return fields
+def _justification_fields(domain, conclusion: str, chosen, printed) -> dict:
+    return _position_fields(domain, chosen, printed) | {"conclusion": conclusion}
 
 
-def _context_fields(context, printed) -> dict:
-    pairs = sorted(
-        context.pairs,
-        key=lambda pair: (printed(pair[0]), sorted(pair[1].position.chosen)),
-    )
-    return {
-        "pairs": [_justification_fields(j, printed) for _, j in pairs],
-    }
+def _context_fields(domain, queries, context, printed) -> dict:
+    """A context's (query index, selection) pairs, by printed query, then
+    by ascending selection.
+    """
+    pairs = sorted((printed(queries[k]), chosen) for k, chosen in context)
+    return {"pairs": [_justification_fields(domain, q, c, printed) for q, c in pairs]}
 
 
 def _tally(domain: DomainOfRules) -> dict:
@@ -344,17 +342,17 @@ def infer_doc(
     base: kbmod.KnowledgeBase, domain: DomainOfRules, formula: str
 ) -> dict:
     phi = _single_ground(base, formula)
-    witness = reasonably_infers(domain, phi)
-    found = justifications(domain, phi)
+    witness = witness_selection(domain, phi)
+    found = justifying_selections(domain, phi)
     printed = _printer()
     return _doc(
         "infer",
         {"formula": printed(phi)},
         "reasonable" if witness is not None else "not-reasonable",
-        positions=[] if witness is None else [
-            _position_fields(domain, witness.chosen, printed)
+        positions=[] if witness is None else [_position_fields(domain, witness, printed)],
+        justification_docs=[
+            _justification_fields(domain, printed(phi), s, printed) for s in found
         ],
-        justification_docs=[_justification_fields(j, printed) for j in found],
         diagnostics=_tally(domain),
     )
 
@@ -363,13 +361,15 @@ def justify_doc(
     base: kbmod.KnowledgeBase, domain: DomainOfRules, formula: str
 ) -> dict:
     phi = _single_ground(base, formula)
-    found = justifications(domain, phi)
+    found = justifying_selections(domain, phi)
     printed = _printer()
     return _doc(
         "justify",
         {"formula": printed(phi)},
         "reasonable" if found else "not-reasonable",
-        justification_docs=[_justification_fields(j, printed) for j in found],
+        justification_docs=[
+            _justification_fields(domain, printed(phi), s, printed) for s in found
+        ],
         diagnostics=_tally(domain),
     )
 
@@ -399,13 +399,13 @@ def context_doc(
         formulas = base.ground_statements(queries)
     else:
         formulas = [g for text in queries for g in base.parse_query(text)]
-    contexts = maximal_consistent_contexts(domain, formulas)
+    contexts = context_selections(domain, formulas)
     printed = _printer()
     return _doc(
         "context",
         {"queries": [printed(q) for q in formulas]},
         {"count": len(contexts)},
-        contexts=[_context_fields(c, printed) for c in contexts],
+        contexts=[_context_fields(domain, formulas, c, printed) for c in contexts],
         diagnostics=_tally(domain),
     )
 

@@ -35,11 +35,17 @@ the product of the islands' counts, which lists nothing.
 Maximal positions and justifications are two calls of one subset sweep,
 `_sweep`: an island's maximal selections are swept largest first, a
 conclusion's justifications smallest first, and either way a selection that
-contains, or lies inside, an accepted one is never asked about.  What the
-sweep accepts is proved, so its answers, and the witness of a reasonable
-inference, are wrapped by `_proved` without asking the domain again.  A
+contains, or lies inside, an accepted one is never asked about.  A
 conclusion is walked once, when the domain first asks it (`_ask`); the
 islands it touches are then read by every step of the question.
+
+Every answer is a selection, an ascending index tuple: `maximal_selections`,
+`witness_selection`, `justifying_selections`, and `context_selections`,
+whose contexts are tuples of (query index, selection) pairs.  The command
+line lists these tuples.  Records are library API, made only at its edge:
+`maximal_positions`, `reasonably_infers`, `justifications` and
+`maximal_consistent_contexts` wrap the tuples, which the engine has proved,
+with `_proved` and `Context` without asking the domain again.
 
 Every search is built by one method, `DomainOfRules._problem`, and run by
 another, `_search`: a `sat.solve` over the domain's one clause store that
@@ -425,6 +431,12 @@ def _proved(cls, *fields):
     return record
 
 
+def _justified(domain, conclusion, chosen) -> Justification:
+    """A justification the domain has proved, as records made without checks."""
+    position = _proved(Position, domain, frozenset(chosen))
+    return _proved(Justification, conclusion, position)
+
+
 # ---------------------------------------------------------------------------
 # Positions and reasonable inference
 # ---------------------------------------------------------------------------
@@ -508,52 +520,66 @@ def maximal_positions(domain: DomainOfRules) -> list[Position]:
     ]
 
 
-def reasonably_infers(
+def witness_selection(
     domain: DomainOfRules, conclusion: Formula
-) -> Optional[Position]:
-    """First maximal position entailing the conclusion, or None.
+) -> Optional[tuple[int, ...]]:
+    """The first maximal selection entailing the conclusion, or None.
 
-    A conclusion entailed by any consistent selection is also entailed by
-    every maximal extension of it, so checking maximal positions suffices,
-    and whether one entails it depends only on its part in the islands the
-    conclusion touches.  Each island's maximal selections form an antichain,
-    so changing one island's part while the rest stay fixed orders positions
-    as it orders the parts.  The first entailing position therefore joins
-    the first entailing part of the join over the touched islands with the
-    first maximal selection of every other island, and no other position is
-    built.
+    The selection is an ascending index tuple, the empty one when the
+    axioms alone entail the conclusion.  A conclusion entailed by any
+    consistent selection is also entailed by every maximal extension of it,
+    so checking maximal selections suffices, and whether one entails it
+    depends only on its part in the islands the conclusion touches.  Each
+    island's maximal selections form an antichain, so changing one island's
+    part while the rest stay fixed orders selections as it orders the parts.
+    The first entailing selection therefore joins the first entailing part
+    of the join over the touched islands with the first maximal selection of
+    every other island, whose other selections are never joined.
     """
     touched = domain._ask(conclusion)
     parts = _join(map(domain._island_maximal, sorted(touched)))
-    part = next(
-        (p for p in parts if domain.selection_entails(p, conclusion)), None
-    )
+    part = next((p for p in parts if domain.selection_entails(p, conclusion)), None)
     if part is None:
         return None
     rest = (
         maximal[0] for number, maximal in enumerate(_every_island(domain))
         if number not in touched
     )
-    return _proved(Position, domain, frozenset(part).union(*rest))
+    return tuple(sorted(itertools.chain(part, *rest)))
+
+
+def reasonably_infers(domain: DomainOfRules, conclusion: Formula) -> Optional[Position]:
+    """First maximal position entailing the conclusion, or None.
+
+    It is `witness_selection` as a record.  This is library API: `lri
+    infer` lists `witness_selection` and builds no record.
+    """
+    chosen = witness_selection(domain, conclusion)
+    return None if chosen is None else _proved(Position, domain, frozenset(chosen))
 
 
 def in_reasonable_theory(domain: DomainOfRules, conclusion: Formula) -> bool:
-    """Whether some position of the domain classically entails the conclusion."""
-    return reasonably_infers(domain, conclusion) is not None
+    """Whether some position of the domain classically entails the conclusion.
+
+    It asks `witness_selection` and builds no record.
+    """
+    return witness_selection(domain, conclusion) is not None
 
 
-def justifications(
+def justifying_selections(
     domain: DomainOfRules, conclusion: Formula
-) -> list[Justification]:
-    """All minimal positions entailing the conclusion.
+) -> list[tuple[int, ...]]:
+    """The minimal selections entailing the conclusion, by (size, tuple).
 
-    A consistent selection entails the conclusion exactly when its part in
-    the islands sharing the conclusion's atoms does, so the subset sweep
-    runs over only those islands' hypotheses, smallest first and by index
-    tuple.  It skips a selection that extends an already-found
-    justification (not minimal); a selection that fits inside no maximal
-    selection of its islands (inconsistent) is answered from the swept
-    islands without a search.  Survivors get one entailment check each.
+    Each is an ascending index tuple; the empty one alone answers a
+    conclusion the axioms entail.  A consistent selection entails the
+    conclusion exactly when its part in the islands sharing the
+    conclusion's atoms does, so the subset sweep runs over only those
+    islands' hypotheses, smallest first and by index tuple.  It skips a
+    selection that extends an already-found justification (not minimal); a
+    selection that fits inside no maximal selection of its islands
+    (inconsistent) is answered from the swept islands without a search.
+    Survivors get one entailment check each.
     """
     touched = sorted(domain._ask(conclusion))
     for number in touched:
@@ -567,24 +593,23 @@ def justifications(
         lambda selection: domain.consistent(selection)
         and domain.selection_entails(selection, conclusion),
     )
-    return [
-        _proved(Justification, conclusion, _proved(Position, domain, chosen))
-        for chosen in found
-    ]
+    return [tuple(sorted(chosen)) for chosen in found]
+
+
+def justifications(domain: DomainOfRules, conclusion: Formula) -> list[Justification]:
+    """All minimal positions entailing the conclusion.
+
+    They are `justifying_selections` as records, in its order.  This is
+    library API: `lri justify` and `lri infer` list `justifying_selections`
+    and build no record.
+    """
+    found = justifying_selections(domain, conclusion)
+    return [_justified(domain, conclusion, chosen) for chosen in found]
 
 
 # ---------------------------------------------------------------------------
 # Contexts
 # ---------------------------------------------------------------------------
-
-
-def _context_domain(context: Context) -> Optional[DomainOfRules]:
-    domains = {j.position.domain for _, j in context.pairs}
-    if len(domains) > 1:
-        raise MixedDomains(
-            "context mixes justifications from different domains of rules"
-        )
-    return next(iter(domains), None)
 
 
 def is_consistent_context(context: Context) -> bool:
@@ -593,20 +618,22 @@ def is_consistent_context(context: Context) -> bool:
     An empty context is vacuously consistent.  All justifications must come
     from the same domain of rules; otherwise MixedDomains is raised.
     """
-    domain = _context_domain(context)
-    if domain is None:
-        return True
-    union = frozenset().union(
-        *(j.position.chosen for _, j in context.pairs)
-    )
-    return domain.consistent(union)
+    domains = {j.position.domain for _, j in context.pairs}
+    if len(domains) > 1:
+        raise MixedDomains(
+            "context mixes justifications from different domains of rules"
+        )
+    union = frozenset().union(*(j.position.chosen for _, j in context.pairs))
+    return not domains or domains.pop().consistent(union)
 
 
-def maximal_consistent_contexts(
+def context_selections(
     domain: DomainOfRules, queries: Sequence[Formula]
-) -> list[Context]:
+) -> list[tuple[tuple[int, tuple[int, ...]], ...]]:
     """Largest consistent ways to justify the query formulas together.
 
+    Each context is a tuple of (query index, selection) pairs, by query
+    index, where the selection is one of the query's `justifying_selections`.
     Each query is either covered by one of its justifications or left out;
     a combination is a candidate when the union of its selections is
     consistent, and kept when no left-out query could be covered by any of
@@ -618,12 +645,12 @@ def maximal_consistent_contexts(
     exactly when each island's part is, and covering a left-out query
     changes only its own group's islands, so the combinations are tried
     within each group only, and the contexts are the `_join` of the groups'
-    kept combinations, whose members are `(query, slot, justification)`
+    kept combinations, whose members are `(query, slot, selection)`
     triples.
 
     The result order is that of one product over all queries: for each
-    query in input order, covering justifications in their `justifications`
-    order before leaving the query out.
+    query in input order, covering justifications in their
+    `justifying_selections` order before leaving the query out.
     """
     query_list = list(queries)
     for q in query_list:
@@ -637,29 +664,47 @@ def maximal_consistent_contexts(
 
     # Slot c of query k covers it by its c-th justification, or leaves it
     # out when it is the last slot, None.
-    slots = [justifications(domain, q) + [None] for q in query_list]
+    slots = [justifying_selections(domain, q) + [None] for q in query_list]
     kept = []
     for group in atom_groups([
-        {domain._island_of_hyp[i] for j in js[:-1] for i in j.position.chosen}
-        for js in slots
+        {domain._island_of_hyp[i] for s in ss[:-1] for i in s} for ss in slots
     ]):
         kept.append([])
         for choice in itertools.product(*(range(len(slots[k])) for k in group)):
             picked = [(k, c, slots[k][c]) for k, c in zip(group, choice)]
             union = frozenset().union(
-                *(j.position.chosen for _, _, j in picked if j is not None)
+                *(s for _, _, s in picked if s is not None)
             )
             if domain.consistent(union) and not any(
-                domain.consistent(union | alt.position.chosen)
-                for k, _, j in picked if j is None
+                domain.consistent(union.union(alt))
+                for k, _, s in picked if s is None
                 for alt in slots[k][:-1]
             ):
                 kept[-1].append(picked)
     # A joined choice lists every query once, in input order, so the joined
     # choices sort by their slots.
     return [
-        Context(frozenset((query_list[k], j) for k, _, j in choice if j))
+        tuple((k, s) for k, _, s in choice if s is not None)
         for choice in _join(kept)
+    ]
+
+
+def maximal_consistent_contexts(
+    domain: DomainOfRules, queries: Sequence[Formula]
+) -> list[Context]:
+    """Largest consistent ways to justify the query formulas together.
+
+    They are `context_selections` as records, in its order, each pair a
+    query and its justification.  This is library API: `lri context` lists
+    `context_selections` and builds no record.
+    """
+    query_list = list(queries)
+    return [
+        Context(frozenset(
+            (query_list[k], _justified(domain, query_list[k], chosen))
+            for k, chosen in pairs
+        ))
+        for pairs in context_selections(domain, query_list)
     ]
 
 

@@ -19,7 +19,7 @@ from lri.kb import load, loads
 
 from bruteforce import make_atoms, random_formula
 from conftest import record_solves
-from families import paired_exception_rules, paired_exceptions
+from families import paired_exception_rules, paired_exceptions, shared_tags
 
 ROOT = Path(__file__).resolve().parents[1]
 PERMIT_SAMPLE = str(ROOT / "samples/permit.lri")
@@ -157,6 +157,50 @@ def test_positions_builds_no_position(monkeypatch):
     doc = cli.positions_doc(None, domain)
     assert [p["indices"] for p in doc["positions"]] == positions
     assert doc["verdict"] == {"count": 32}
+
+
+@pytest.mark.parametrize(
+    "family", [paired_exceptions(4), shared_tags(3)], ids=["paired", "shared"]
+)
+def test_query_verbs_build_no_record(monkeypatch, family):
+    """`infer`, `justify` and `context` list the engine's index tuples.
+
+    No `Position`, `Justification` or `Context` is made, and neither does
+    `in_reasonable_theory` make one: `_proved` makes the first two, and
+    `Context` is made by its constructor.
+    """
+    axioms, hypotheses, positions, justified, queries, contexts = family
+    base = lri.kb.KnowledgeBase(
+        lri.Signature(), tuple(axioms), tuple(hypotheses), tuple(queries), None
+    )
+    domain = base.domain()
+
+    def refuse(*fields):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(engine, "_proved", refuse)
+    monkeypatch.setattr(engine, "Context", refuse)
+    for phi, expected in justified.items():
+        text = print_formula(phi)
+        justify = cli.justify_doc(base, domain, text)
+        infer = cli.infer_doc(base, domain, text)
+        verdict = "reasonable" if expected else "not-reasonable"
+        for doc in (justify, infer):
+            assert doc["verdict"] == verdict
+            assert [
+                (j["conclusion"], j["indices"]) for j in doc["justifications"]
+            ] == [(text, j) for j in expected]
+        # The witness is the first position holding a justification.
+        witness = [p for p in positions if any(set(j) <= set(p) for j in expected)]
+        assert [p["indices"] for p in infer["positions"]] == witness[:1]
+        assert engine.in_reasonable_theory(domain, phi) == bool(expected)
+    doc = cli.context_doc(base, domain, None)
+    assert [
+        [(p["conclusion"], p["indices"]) for p in c["pairs"]] for c in doc["contexts"]
+    ] == [
+        sorted((print_formula(queries[k]), s) for k, s in context)
+        for context in contexts
+    ]
 
 
 def test_infer_reasonable_formula(capsys, permit_file):
