@@ -18,9 +18,10 @@ for tests; `check --dimacs` lists the problem a domain of rules builds in
 its own store instead.
 
 The builder is the one place variables are numbered.  An atom is numbered
-when it is first translated and a definition when it is made, counting from
-1, and the store's `names` decode them: the atom, or `$n` for the n-th
-definition.  Literals are signed variable numbers, negative for negation.
+when it is first met, by `number_atoms` or by translation, and a definition
+when it is made, counting from 1, and the store's `names` decode them: the
+atom, or `$n` for the n-th definition.  Literals are signed variable
+numbers, negative for negation.
 """
 
 from __future__ import annotations
@@ -87,6 +88,27 @@ class CnfBuilder:
             self._defs.popitem()
         self.store.truncate(stored)
         del self.store.names[named:]
+
+    def number_atoms(
+        self, nodes: Iterable[Formula]
+    ) -> tuple[list[Atom], list[int]]:
+        """Number the atoms among the nodes, in order, that are new to it.
+
+        It returns the new atoms, in order, and the variables of the other
+        atoms it met, repeats included.
+        """
+        new: list[Atom] = []
+        known: list[int] = []
+        literal = self._literal
+        for node in nodes:
+            if isinstance(node, Atom):
+                var = literal.get(node)
+                if var is None:
+                    literal[node] = self._number(node)
+                    new.append(node)
+                else:
+                    known.append(var)
+        return new, known
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""
@@ -189,9 +211,7 @@ def clausify(formulas: Sequence[Formula]) -> Problem:
     """
     builder = CnfBuilder()
     for formula in formulas:
-        for node in walk(formula):
-            if isinstance(node, Atom):
-                builder.add(node)
+        builder.number_atoms(walk(formula))
     return builder.clause_set([builder.add(f) for f in formulas])
 
 

@@ -61,7 +61,7 @@ import itertools
 import math
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from . import sat
+from . import formula as syntax, sat
 from .cnf import CnfBuilder
 from .errors import (
     AxiomHypothesisOverlap,
@@ -115,8 +115,10 @@ class DomainOfRules:
     Construction verifies axiom consistency and fails with
     InconsistentAxioms otherwise.
 
-    Construction also splits the rules into islands, groups connected
-    through shared atoms.  One clausifier holds the rules' clauses in a
+    Construction walks each rule once, left first, in the order the rules
+    were stated: the walk numbers the atoms, checks those the signature did
+    not make, and splits the rules into islands, groups connected through
+    shared atoms.  One clausifier holds the rules' clauses in a
     persistent store, and every search assumes the top literals of the
     axioms and selected hypotheses of the islands its question touches, so
     only their definitions take part.  The decisions of one question are
@@ -161,34 +163,55 @@ class DomainOfRules:
         self.signature = signature
         self.max_decisions = max_decisions
         rules = self.axioms + self.hypotheses
-        # The builder numbers the rule atoms first, in the order the rules
-        # were stated and left first, so the solver branches in that order.
-        rule_atoms = [signature.register_formula(f) for f in rules]
-        self._builder = CnfBuilder()
-        for atom in itertools.chain(*rule_atoms):
-            self._builder.add(atom)
-        tops = [self._builder.add(f) for f in rules]
+        # One walk per rule, in the order the rules were stated and left
+        # first, numbers the atoms before any definition, so the solver
+        # branches in that order.  It checks each new atom against the
+        # signature, and joins the rule with the first rule of every atom
+        # it meets again: `parent` is a union-find over rule indices, and
+        # `first_rule[v - 1]` is the first rule of atom v.
+        self._builder = builder = CnfBuilder()
+        parent = list(range(len(rules)))
+        first_rule: list[int] = []
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, rule in enumerate(rules):
+            new, known = builder.number_atoms(syntax.walk(rule))
+            signature.check_atoms(new)
+            first_rule += [i] * len(new)
+            for var in known:
+                parent[find(i)] = find(first_rule[var - 1])
+        tops = [builder.add(f) for f in rules]
         first_hyp = len(self.axioms)
         self._hyp_tops = tuple(tops[first_hyp:])
-        self._rules_only = self._builder.mark()
+        self._rules_only = builder.mark()
         self._asked: Optional[Formula] = None
         self._touched: frozenset[int] = frozenset()
         self._countered: dict[frozenset[int], bool] = {}
 
+        # Each group lists its rules ascending, and the groups come in the
+        # order of their first rules, which is the islands' order.
+        groups: dict[int, list[int]] = {}
+        for i in range(len(rules)):
+            groups.setdefault(find(i), []).append(i)
+        island_of_rule = [0] * len(rules)
         self._islands: list[_Island] = []
-        self._island_of_hyp = [0] * len(self.hypotheses)
-        self._island_of_atom: dict[Atom, int] = {}
-        for number, group in enumerate(atom_groups(rule_atoms)):
-            members = tuple(i - first_hyp for i in group if i >= first_hyp)
+        for number, group in enumerate(groups.values()):
             self._islands.append(_Island(
-                tuple(tops[i] for i in group if i < first_hyp), members
+                tuple(tops[i] for i in group if i < first_hyp),
+                tuple(i - first_hyp for i in group if i >= first_hyp),
             ))
-            for i in members:
-                self._island_of_hyp[i] = number
             for i in group:
-                self._island_of_atom.update(
-                    dict.fromkeys(rule_atoms[i], number)
-                )
+                island_of_rule[i] = number
+        self._island_of_hyp = island_of_rule[first_hyp:]
+        self._island_of_atom: dict[Atom, int] = {
+            atom: island_of_rule[i]
+            for atom, i in zip(builder.store.names, first_rule)
+        }
 
         self._question()
         for number in range(len(self._islands)):

@@ -403,19 +403,16 @@ class Signature:
             self._nodes[key] = node
         return node
 
-    def register_formula(self, formula: Formula) -> tuple[Atom, ...]:
-        """Validate a formula's atoms; the distinct ones in order, left first.
+    def check_atoms(self, atoms: Iterable[Atom]) -> None:
+        """Validate the atoms, in order, declaring new names.
 
         Atoms the signature made itself were checked then and are not
         checked again.
         """
-        atoms = tuple(dict.fromkeys(
-            node for node in walk(formula) if isinstance(node, Atom)
-        ))
+        nodes = self._nodes
         for atom in atoms:
-            if self._nodes.get(atom._key) is not atom:
+            if nodes.get(atom._key) is not atom:
                 self.check_atom(atom)
-        return atoms
 
 
 # ---------------------------------------------------------------------------

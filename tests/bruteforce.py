@@ -10,7 +10,10 @@ method per precedence level over its tokens is what the package's parser is
 checked against, and a search that keeps its state in closures over a
 `deque` is what the package's `sat._search` is checked against.  A depth
 check that walks every k-subset of components is what the package's
-`check_variety_depth` walk is checked against.
+`check_variety_depth` walk is checked against.  A build that lists each
+rule's atoms, numbers them, translates the rules and then groups the atom
+lists is what the package's one walk per rule in `DomainOfRules` is
+checked against; it shares the clause translation (`CnfBuilder.add`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,14 @@ from typing import Iterable, Optional, Sequence
 from lri import And, Atom, Calculus, Iff, Implies, Not, Or, Signature, Variety
 from lri import DepthCheckResult, Formula, FormulaSyntaxError, ProbeUniverse
 from lri import ResourceLimit, atoms_of
-from lri.formula import map_atoms
+from lri.cnf import CnfBuilder
+from lri.errors import (
+    AxiomHypothesisOverlap, DuplicateHypothesis, InconsistentAxioms,
+)
+from lri.formula import (
+    atom_groups, distinct_ground, map_atoms, print_formula, require_ground,
+    walk,
+)
 
 ATOM_NAMES = "abcdefghijkl"
 
@@ -498,6 +508,92 @@ def reference_search(problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
             ):
                 raise RuntimeError("internal error: model fails verification")
     return satisfiable, decisions, value
+
+
+# ---------------------------------------------------------------------------
+# Reference build
+# ---------------------------------------------------------------------------
+
+
+def reference_build(
+    axioms: Iterable[Formula],
+    hypotheses: Iterable[Formula],
+    signature: Signature,
+) -> dict[str, object]:
+    """What building a `DomainOfRules` must make, by four passes.
+
+    The rules are checked as the domain checks them; then each rule's
+    distinct atoms are listed left first and checked against the signature
+    (those it did not make, in every rule they occur in), the atoms are
+    numbered in the order of the lists, the rules translated in order, and
+    the lists grouped by `atom_groups` into islands, whose axioms must be
+    satisfiable by `reference_search`.  The result names what `built`
+    reads of a domain, in `tests/test_domain_build.py`.
+    """
+    axioms = distinct_ground(axioms, "axiom")
+    hyp_list = list(hypotheses)
+    seen: set[Formula] = set()
+    for formula in hyp_list:
+        require_ground(formula, "hypothesis")
+        if formula in seen:
+            raise DuplicateHypothesis(
+                f"hypothesis repeated: {print_formula(formula)}"
+            )
+        seen.add(formula)
+        if formula in axioms:
+            raise AxiomHypothesisOverlap(
+                f"formula is both axiom and hypothesis: "
+                f"{print_formula(formula)}"
+            )
+    rules = axioms + tuple(hyp_list)
+    rule_atoms = []
+    for rule in rules:
+        atoms = tuple(dict.fromkeys(
+            node for node in walk(rule) if isinstance(node, Atom)
+        ))
+        for atom in atoms:
+            if signature._nodes.get(atom._key) is not atom:
+                signature.check_atom(atom)
+        rule_atoms.append(atoms)
+    builder = CnfBuilder()
+    for atom in chain(*rule_atoms):
+        builder.add(atom)
+    tops = [builder.add(rule) for rule in rules]
+    first_hyp = len(axioms)
+    islands = []
+    island_of_hyp = [0] * len(hyp_list)
+    island_of_atom = {}
+    for number, group in enumerate(atom_groups(rule_atoms)):
+        members = tuple(i - first_hyp for i in group if i >= first_hyp)
+        axiom_tops = tuple(tops[i] for i in group if i < first_hyp)
+        islands.append({
+            "axiom_tops": axiom_tops,
+            "hypotheses": members,
+            "maximal": None,
+            "consistency": {frozenset(): True},
+        })
+        for i in members:
+            island_of_hyp[i] = number
+        for i in group:
+            island_of_atom.update(dict.fromkeys(rule_atoms[i], number))
+    for island in islands:
+        problem = builder.problem(island["axiom_tops"])
+        if problem.assumptions and not reference_search(problem, 10**9)[0]:
+            raise InconsistentAxioms("the axioms are jointly unsatisfiable")
+    store = builder.store
+    return {
+        "names": list(store.names),
+        "clauses": list(store.clauses),
+        "occurrences": list(store.occurrences.items()),
+        "literal": list(builder._literal.items()),
+        "defs": list(builder._defs.items()),
+        "hyp_tops": tuple(tops[first_hyp:]),
+        "islands": islands,
+        "island_of_hyp": island_of_hyp,
+        "island_of_atom": island_of_atom,
+        "predicates": signature.predicates,
+        "constants": signature.constants,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -422,19 +422,3 @@ def test_map_atoms_rebuilds_every_connective():
 )
 def test_atoms_of(text, expected):
     assert atoms_of(parse_formula(text, Signature())) == expected
-
-
-# ---------------------------------------------------------------------------
-# Registering formulas
-# ---------------------------------------------------------------------------
-
-
-def test_registering_checks_atoms_the_signature_did_not_make():
-    sig = Signature()
-    parse_formula("p(a) & q", sig)
-    with pytest.raises(ArityMismatch):
-        sig.register_formula(Atom("p"))
-    rule = And(Atom("q"), Or(Atom("r", ("b",)), Atom("q")))
-    assert sig.register_formula(rule) == (Atom("q"), Atom("r", ("b",)))
-    assert sig.predicates == (("p", 1), ("q", 0), ("r", 1))
-    assert sig.constants == ("a", "b")

@@ -189,9 +189,9 @@ def test_variety_components_all_contain_the_axioms():
 def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
     """The variety of a swept domain holds the domain itself.
 
-    Neither it nor its discretization builds a domain, registers or
-    translates a formula, or checks groundness; the calculi are made when
-    `components` is first read.
+    Neither it nor its discretization builds a domain, translates a
+    formula, or checks groundness; the calculi are made when `components`
+    is first read.
     """
     positions = maximal_positions(permit_domain)
     expected = tuple(
@@ -209,7 +209,6 @@ def test_a_domains_variety_builds_nothing(permit_domain, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(DomainOfRules, "__init__")
-    count(Signature, "register_formula")
     count(CnfBuilder, "add")
     count(lri.variety, "distinct_ground")
     v = variety_of(permit_domain)

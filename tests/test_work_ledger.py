@@ -5,14 +5,16 @@ three sizes, and counts its searches (`lri.sat.solve` calls), its
 consistency questions (`DomainOfRules.consistent` calls) and the k-subsets
 a depth check draws.  Building the domain is part of each row's work,
 except in the depth rows, which count the depth check alone on a built
-variety.  The counts follow from the algorithms, not from the host, so a
-change that makes a path cheaper or dearer moves its row, and the change
-states the row's old and new counts.
+variety; the `build` row counts the building alone.  The counts follow
+from the algorithms, not from the host, so a change that makes a path
+cheaper or dearer moves its row, and the change states the row's old and
+new counts.
 
 The sizes are small enough to run in tier-1, and large enough that each
 row's growth shows.  Run as a script, the module prints every row with its
-growth between sizes, and the wall time of each size's work: the best of
-three runs with nothing counting, which is printed and never pinned:
+growth between sizes, and the wall time of each size's work in
+milliseconds: the best of three runs with nothing counting, which is
+printed and never pinned:
 
     PYTHONPATH=src python tests/test_work_ledger.py
 """
@@ -26,7 +28,9 @@ import time
 import pytest
 
 import lri.variety
-from families import exclusions, paired_exceptions, shared_tags
+from families import (
+    exclusions, paired_exception_rules, paired_exceptions, shared_tags,
+)
 from lri import (
     Atom,
     DomainOfRules,
@@ -57,6 +61,8 @@ def _depth_check(k, depth):
 # Each row maps a size to the work to count: a closure run after any
 # building the row leaves out.
 ROWS = {
+    # building paired exceptions' domain alone: one search per island
+    "build": lambda k: lambda: DomainOfRules(*paired_exception_rules(k)),
     # positions on the path of exclusions
     "path_positions": lambda n: lambda: maximal_positions(
         _domain(exclusions(n))
@@ -85,6 +91,7 @@ ROWS = {
 
 # Per row and size: (searches, consistency questions, k-subsets drawn).
 LEDGER = {
+    "build": {8: (8, 0, 0), 16: (16, 0, 0), 32: (32, 0, 0)},
     "path_positions": {10: (897, 0, 0), 12: (3748, 0, 0)},
     "path_justify": {10: (954, 258, 0), 12: (3894, 1026, 0)},
     "paired_justify": {
@@ -153,7 +160,7 @@ def main() -> int:
     from conftest import record_solves
 
     print(f"{'row':16} {'size':>4} {'searches':>15} {'questions':>15} "
-          f"{'draws':>15} {'seconds':>8}")
+          f"{'draws':>15} {'ms':>9}")
     for row in LEDGER:
         with pytest.MonkeyPatch.context() as monkeypatch:
             measured = measure(row, monkeypatch, record_solves(monkeypatch))
@@ -165,7 +172,7 @@ def main() -> int:
                 if previous and previous[i]:
                     growth = f"x{count / previous[i]:.2f}"
                 cells.append(f"{count:>8,} {growth:>6}")
-            cells.append(f"{wall_time(row, size):>8.3f}")
+            cells.append(f"{wall_time(row, size) * 1000:>9.2f}")
             print(f"{row:16} {size:>4} " + " ".join(cells))
             previous = counts
     return 0
