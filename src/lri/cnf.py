@@ -94,21 +94,20 @@ class CnfBuilder:
     ) -> tuple[list[Atom], list[int]]:
         """Number the atoms among the nodes, in order, that are new to it.
 
-        It returns the new atoms, in order, and the variables of the other
-        atoms it met, repeats included.
+        It returns the new atoms, in the order first met, and the variable
+        of every atom it met, in order and repeats included.
         """
         new: list[Atom] = []
-        known: list[int] = []
+        variables: list[int] = []
         literal = self._literal
         for node in nodes:
             if isinstance(node, Atom):
                 var = literal.get(node)
                 if var is None:
-                    literal[node] = self._number(node)
+                    var = literal[node] = self._number(node)
                     new.append(node)
-                else:
-                    known.append(var)
-        return new, known
+                variables.append(var)
+        return new, variables
 
     def add(self, formula: Formula) -> int:
         """Translate a ground formula and return its top literal."""

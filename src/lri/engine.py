@@ -117,17 +117,18 @@ class DomainOfRules:
 
     Construction walks each rule once, left first, in the order the rules
     were stated: the walk numbers the atoms, checks those the signature did
-    not make, and splits the rules into islands, groups connected through
-    shared atoms.  One clausifier holds the rules' clauses in a
-    persistent store, and every search assumes the top literals of the
-    axioms and selected hypotheses of the islands its question touches, so
-    only their definitions take part.  The decisions of one question are
-    summed over its searches against `max_decisions`.  Each island answers
-    consistency from its maximal selections once swept, and from a memo of
-    its searches before, because the position and context machinery
-    revisits the same selections many times; entailment is memoized for the
-    latest conclusion only (see `selection_entails`).  Every conclusion is
-    checked to be ground when first asked (`_ask`).
+    not make, and lists each rule's variables, which `atom_groups` splits
+    into islands, groups of rules connected through shared atoms.  One
+    clausifier holds the rules' clauses in a persistent store, and every
+    search assumes the top literals of the axioms and selected hypotheses of
+    the islands its question touches, so only their definitions take part.
+    The decisions of one question are summed over its searches against
+    `max_decisions`.  Each island answers consistency from its maximal
+    selections once swept, and from a memo of its searches before, because
+    the position and context machinery revisits the same selections many
+    times; entailment is memoized for the latest conclusion only (see
+    `selection_entails`).  Every conclusion is checked to be ground when
+    first asked (`_ask`).
     """
 
     def __init__(
@@ -166,25 +167,18 @@ class DomainOfRules:
         # One walk per rule, in the order the rules were stated and left
         # first, numbers the atoms before any definition, so the solver
         # branches in that order.  It checks each new atom against the
-        # signature, and joins the rule with the first rule of every atom
-        # it meets again: `parent` is a union-find over rule indices, and
-        # `first_rule[v - 1]` is the first rule of atom v.
+        # signature and lists the variables of the rule's atoms, which
+        # `atom_groups` groups into islands, as `lri partition` groups the
+        # rules by their atoms.  `first_rule[v - 1]` is the first rule of
+        # atom v.
         self._builder = builder = CnfBuilder()
-        parent = list(range(len(rules)))
+        rule_vars: list[list[int]] = []
         first_rule: list[int] = []
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for i, rule in enumerate(rules):
-            new, known = builder.number_atoms(syntax.walk(rule))
+            new, variables = builder.number_atoms(syntax.walk(rule))
             signature.check_atoms(new)
             first_rule += [i] * len(new)
-            for var in known:
-                parent[find(i)] = find(first_rule[var - 1])
+            rule_vars.append(variables)
         tops = [builder.add(f) for f in rules]
         first_hyp = len(self.axioms)
         self._hyp_tops = tuple(tops[first_hyp:])
@@ -193,14 +187,9 @@ class DomainOfRules:
         self._touched: frozenset[int] = frozenset()
         self._countered: dict[frozenset[int], bool] = {}
 
-        # Each group lists its rules ascending, and the groups come in the
-        # order of their first rules, which is the islands' order.
-        groups: dict[int, list[int]] = {}
-        for i in range(len(rules)):
-            groups.setdefault(find(i), []).append(i)
         island_of_rule = [0] * len(rules)
         self._islands: list[_Island] = []
-        for number, group in enumerate(groups.values()):
+        for number, group in enumerate(atom_groups(rule_vars)):
             self._islands.append(_Island(
                 tuple(tops[i] for i in group if i < first_hyp),
                 tuple(i - first_hyp for i in group if i >= first_hyp),

@@ -28,7 +28,8 @@ from __future__ import annotations
 import itertools
 import re
 from typing import (
-    Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union,
+    Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence,
+    Union,
 )
 
 from .errors import ArityMismatch, EmptyDomain, FormulaSyntaxError
@@ -198,14 +199,16 @@ def atoms_of(formula: Formula) -> frozenset[Atom]:
     return frozenset(node for node in walk(formula) if isinstance(node, Atom))
 
 
-def atom_groups(atom_sets: Sequence[Iterable[Atom]]) -> list[list[int]]:
-    """Indices of atom sets grouped by atoms shared directly or through others.
+def atom_groups(item_sets: Sequence[Iterable[Hashable]]) -> list[list[int]]:
+    """Indices of item sets grouped by items shared directly or through others.
 
-    Given the atoms of each formula in a list, the groups are the formulas
-    connected through shared atoms.  Groups list their indices ascending and
-    come ordered by their first index, so the grouping is deterministic.
+    The items may be any hashable: the atoms of formulas for partitions,
+    the variables of rules for a domain's islands, the islands of queries
+    for context groups.  The groups are the sets connected through shared
+    items.  Groups list their indices ascending and come ordered by their
+    first index, so the grouping is deterministic.
     """
-    parent = list(range(len(atom_sets)))
+    parent = list(range(len(item_sets)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -213,20 +216,19 @@ def atom_groups(atom_sets: Sequence[Iterable[Atom]]) -> list[list[int]]:
             x = parent[x]
         return x
 
-    first_use: dict[Atom, int] = {}
-    for i, atoms in enumerate(atom_sets):
-        for atom in atoms:
-            if atom in first_use:
-                root, other = find(first_use[atom]), find(i)
-                if root != other:
-                    parent[max(root, other)] = min(root, other)
-            else:
-                first_use[atom] = i
+    first_use: dict[Hashable, int] = {}
+    for i, items in enumerate(item_sets):
+        for item in items:
+            first = first_use.setdefault(item, i)
+            if first != i:
+                parent[find(i)] = find(first)
 
+    # Scanning the indices in order meets each group first at its first
+    # index, so the dictionary lists the groups in that order.
     groups: dict[int, list[int]] = {}
-    for i in range(len(atom_sets)):
+    for i in range(len(item_sets)):
         groups.setdefault(find(i), []).append(i)
-    return [groups[root] for root in sorted(groups)]
+    return list(groups.values())
 
 
 def variables_of(formula: Formula) -> tuple[str, ...]:

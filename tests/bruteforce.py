@@ -13,7 +13,9 @@ check that walks every k-subset of components is what the package's
 `check_variety_depth` walk is checked against.  A build that lists each
 rule's atoms, numbers them, translates the rules and then groups the atom
 lists is what the package's one walk per rule in `DomainOfRules` is
-checked against; it shares the clause translation (`CnfBuilder.add`).
+checked against; it shares the clause translation (`CnfBuilder.add`) but
+groups by `reference_groups`, a merge of overlapping sets that is what the
+package's union-find `atom_groups` is checked against.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from lri.errors import (
     AxiomHypothesisOverlap, DuplicateHypothesis, InconsistentAxioms,
 )
 from lri.formula import (
-    atom_groups, distinct_ground, map_atoms, print_formula, require_ground,
-    walk,
+    distinct_ground, map_atoms, print_formula, require_ground, walk,
 )
 
 ATOM_NAMES = "abcdefghijkl"
@@ -511,8 +512,34 @@ def reference_search(problem, cap: int) -> tuple[bool, int, dict[int, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# Reference build
+# Reference grouping and build
 # ---------------------------------------------------------------------------
+
+
+def reference_groups(item_sets: Sequence[Iterable]) -> list[list[int]]:
+    """Indices of item sets grouped by shared items, merged to a fixpoint.
+
+    Each index starts as a group of its own holding its items; a pass moves
+    every group into the first earlier kept group whose items meet its
+    own, and passes repeat until one merges nothing.  Groups list their
+    indices ascending and come ordered by their first index.
+    """
+    groups = [({i}, set(items)) for i, items in enumerate(item_sets)]
+    merged = True
+    while merged:
+        merged = False
+        kept: list[tuple[set, set]] = []
+        for indices, items in groups:
+            for other_indices, other_items in kept:
+                if items & other_items:
+                    other_indices |= indices
+                    other_items |= items
+                    merged = True
+                    break
+            else:
+                kept.append((indices, items))
+        groups = kept
+    return sorted(sorted(indices) for indices, _ in groups)
 
 
 def reference_build(
@@ -526,9 +553,9 @@ def reference_build(
     distinct atoms are listed left first and checked against the signature
     (those it did not make, in every rule they occur in), the atoms are
     numbered in the order of the lists, the rules translated in order, and
-    the lists grouped by `atom_groups` into islands, whose axioms must be
-    satisfiable by `reference_search`.  The result names what `built`
-    reads of a domain, in `tests/test_domain_build.py`.
+    the lists grouped by `reference_groups` into islands, whose axioms
+    must be satisfiable by `reference_search`.  The result names what
+    `built` reads of a domain, in `tests/test_domain_build.py`.
     """
     axioms = distinct_ground(axioms, "axiom")
     hyp_list = list(hypotheses)
@@ -563,7 +590,7 @@ def reference_build(
     islands = []
     island_of_hyp = [0] * len(hyp_list)
     island_of_atom = {}
-    for number, group in enumerate(atom_groups(rule_atoms)):
+    for number, group in enumerate(reference_groups(rule_atoms)):
         members = tuple(i - first_hyp for i in group if i >= first_hyp)
         axiom_tops = tuple(tops[i] for i in group if i < first_hyp)
         islands.append({

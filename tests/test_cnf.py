@@ -7,6 +7,7 @@ import pytest
 from lri import Atom, FormulaSyntaxError, Not, Signature, parse_formula, sat
 from lri.cli import check_doc
 from lri.cnf import CnfBuilder, clausify, to_dimacs
+from lri.formula import walk
 from lri.kb import load
 
 from bruteforce import TableOracle, make_atoms, random_formula
@@ -124,6 +125,24 @@ def test_rollback_forgets_later_translations():
     again = builder.clause_set([kept, builder.add(later)])
     assert again.clauses == first_clauses and _atoms(again) == first_atoms
     assert names == [Atom("p"), Atom("q"), "$0", Atom("r"), "$1", "$2"]
+
+
+def test_number_atoms_lists_every_atoms_variable():
+    """`number_atoms` lists the variable of every atom it meets.
+
+    It numbers the new atoms in the order first met, and lists every atom's
+    variable in walk order, repeats included.
+    """
+    sig = Signature()
+    builder = CnfBuilder()
+    builder.add(parse_formula("q", sig))
+    formula = parse_formula("(p -> q) & (r | -p) & q", sig)
+    p, q, r = Atom("p"), Atom("q"), Atom("r")
+    assert builder.number_atoms(walk(formula)) == ([p, r], [2, 1, 3, 2, 1])
+    assert builder.store.names == [q, p, r]
+    # a second call numbers nothing new and lists the same variables
+    assert builder.number_atoms(walk(formula)) == ([], [2, 1, 3, 2, 1])
+    assert builder.store.names == [q, p, r]
 
 
 def test_random_equisatisfiability_small():

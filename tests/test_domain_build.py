@@ -1,12 +1,14 @@
 """Building a domain of rules, held to the four-pass build it replaced.
 
 `DomainOfRules` walks each rule once: the walk numbers the atoms, checks
-those the signature did not make, and joins the rules that share an atom
-into islands.  `bruteforce.reference_build` makes the same parts the old
-way, one pass each, and every part must come out equal, in order: the
-store's variables, clauses and occurrence lists, the builder's tables, the
-hypotheses' top literals, the islands, and the signature's declarations.
-A bad input must fail both builds with the same error.
+those the signature did not make, and lists each rule's variables, which
+`atom_groups` groups into islands.  `bruteforce.reference_build` makes the
+same parts the old way, one pass each, and groups the rules' atoms by
+`reference_groups`, a merge written apart from `atom_groups`, so the
+islands are checked independently.  Every part must come out equal, in
+order: the store's variables, clauses and occurrence lists, the builder's
+tables, the hypotheses' top literals, the islands, and the signature's
+declarations.  A bad input must fail both builds with the same error.
 """
 
 from __future__ import annotations

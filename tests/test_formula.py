@@ -26,13 +26,14 @@ from lri import (
     print_formula,
 )
 from lri.formula import (
-    _tokenize, map_atoms, substitute, variables_of, walk,
+    _tokenize, atom_groups, map_atoms, substitute, variables_of, walk,
 )
 
 from bruteforce import (
     make_atoms,
     random_formula,
     reference_formula,
+    reference_groups,
     reference_statements,
     reference_tokens,
 )
@@ -422,3 +423,26 @@ def test_map_atoms_rebuilds_every_connective():
 )
 def test_atoms_of(text, expected):
     assert atoms_of(parse_formula(text, Signature())) == expected
+
+
+def test_atom_groups_match_the_reference_grouping():
+    """`atom_groups` groups as `reference_groups` merges, over any hashable.
+
+    Seeded random lists of int sets and of atom sets, with empty sets,
+    repeated items and singletons, give the same groups: members
+    ascending, groups in the order of their first members.
+    """
+    # The join makes set 2 the root of the first group, so a grouping in
+    # root order would list the lone empty set first.
+    assert atom_groups([{1, 2}, set(), {3}, {2, 3}, {4}, {4}]) == [
+        [0, 2, 3], [1], [4, 5],
+    ]
+    atoms = make_atoms(8)
+    for seed in range(300):
+        rng = random.Random(seed)
+        pool = range(12) if seed % 2 else atoms
+        item_sets = [
+            [rng.choice(pool) for _ in range(rng.choice([0, 1, 1, 2, 3, 5]))]
+            for _ in range(rng.randrange(13))
+        ]
+        assert atom_groups(item_sets) == reference_groups(item_sets), seed

@@ -13,7 +13,7 @@ import pytest
 import lri.engine
 from bruteforce import DomainOracle, random_formula, selection_mask
 from bruteforce import glued_corpus as _corpus
-from bruteforce import reference_depth
+from bruteforce import reference_depth, reference_groups
 from conftest import context_pairs
 from families import paired_exceptions
 from lri import (
@@ -25,6 +25,7 @@ from lri import (
     Or,
     ProbeUniverse,
     ResourceLimit,
+    atoms_of,
     check_variety_depth,
     discretize,
     in_reasonable_theory,
@@ -111,11 +112,27 @@ def test_partitions_are_the_islands():
 
     Each node holds one island's axioms and hypotheses, in island order,
     and no two nodes share an atom, so a partition graph has no edges.
+    Both group through `atom_groups`, so the islands are also held to
+    `reference_groups` over each rule's atoms.
     """
     for seed in range(100):
         axioms, hypotheses, _, _ = _corpus(seed)
         domain = new_domain(axioms, hypotheses)
-        nodes = partition_graph(domain.axioms + domain.hypotheses)
+        rules = domain.axioms + domain.hypotheses
+        first_hyp = len(domain.axioms)
+        # Every rule is translated at build, so `add` looks its top up.
+        top = domain._builder.add
+        assert [
+            (
+                tuple(top(rules[i]) for i in group if i < first_hyp),
+                tuple(i - first_hyp for i in group if i >= first_hyp),
+            )
+            for group in reference_groups([atoms_of(f) for f in rules])
+        ] == [
+            (island.axiom_tops, island.hypotheses)
+            for island in domain._islands
+        ], seed
+        nodes = partition_graph(rules)
         index = {h: i for i, h in enumerate(domain.hypotheses)}
         assert [
             (
